@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -21,18 +20,11 @@ from .cubes import CubeLabeling, corner_homology, oracle_corner_homology
 from .errors import LfkError, NotLSpaceLink, UnsupportedForm
 from .floer import alternating_cross_check, build_tgraph, hfl_hat, hfl_minus
 from .lspace import (LinkProfile, cor_alex2_check, normalized_family,
-                     theorem_alex_check, two_bridge_profile)
+                     resolve_margin, theorem_alex_check, two_bridge_profile)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REJECTED = 2
-
-
-def _env_margin() -> int:
-    m = int(os.environ.get("LFK_MARGIN", "2"))
-    if m < 2:
-        raise ValueError("LFK_MARGIN must be an integer >= 2")
-    return m
 
 
 # -- classification sweep ------------------------------------------------------
@@ -176,7 +168,7 @@ def classify(max_alpha: int, margin: int | None = None) -> list[SweepRecord]:
     """Run the full pipeline on one representative per equivalence class."""
     if max_alpha < 2:
         raise ValueError("max_alpha must be at least 2")
-    margin = margin if margin is not None else _env_margin()
+    margin = resolve_margin(margin)
     reps = {}
     for cand in all_candidates(max_alpha):
         cid = class_id_of(cand.alpha, cand.beta)
@@ -241,10 +233,7 @@ def _profile_from_args(args) -> LinkProfile:
     if getattr(args, "profile", None):
         with open(args.profile) as fh:
             return LinkProfile.from_json(json.load(fh))
-    if args.ab is None:
-        raise SystemExit(EXIT_USAGE)
-    alpha, beta = args.ab
-    return two_bridge_profile(TwoBridge(alpha, beta))
+    return two_bridge_profile(_expansion_from(args)[1])
 
 
 def _resolve_two_bridge_sign(prof: LinkProfile) -> tuple[LinkProfile, str | None]:
@@ -275,7 +264,8 @@ def _expansion_from(args):
     if args.ab:
         link = TwoBridge(args.ab[0], args.ab[1])
         return link, even_expansion(link)
-    return None, None
+    raise ValueError("need --ab or --exp"
+                     + (" or --profile" if "profile" in args else ""))
 
 
 def _reject(reason: str, detail=None) -> int:
@@ -291,9 +281,6 @@ def _reject(reason: str, detail=None) -> int:
 
 def _cmd_alex(args) -> int:
     link, exp = _expansion_from(args)
-    if exp is None:
-        print("error: need --ab or --exp", file=sys.stderr)
-        return EXIT_USAGE
     prof = two_bridge_profile(exp)
     prof, sign = _resolve_two_bridge_sign(prof)
     fam = normalized_family(prof)
@@ -311,7 +298,7 @@ def _cmd_alex(args) -> int:
 
 def _cmd_check(args) -> int:
     prof = _profile_from_args(args)
-    margin = args.margin if args.margin else _env_margin()
+    margin = resolve_margin(args.margin or None)
     if prof.l == 2:
         prof, _ = _resolve_two_bridge_sign(prof)
         cor = cor_alex2_check(prof)

@@ -1,51 +1,45 @@
-"""The lattice edge-label graph and homology tables for up to 3 components.
+"""The lattice grading field and homology tables for up to 3 components.
 
-The graph assigns a 0/1 label to every unit edge of the Alexander lattice;
-the label of the edge into a point s in direction j records whether the
-corresponding inclusion of sublevel complexes acts as an isomorphism (0) or
-drops a tower step (1).  Labels are pinned three ways:
+Each lattice point s carries the even top grading g(s) of its sublevel
+tower, normalized to 0 in the stable region (g = -2H for the H-function of
+an L-space link).  The label of the edge into s in direction j is
+(g(s) - g(s - e_j)) / 2: 0 when the inclusion of sublevel complexes is an
+isomorphism, 1 when it drops a tower step.  The field is built in one
+downward pass:
 
-* beyond the stabilization corner m(L), edges in the outward direction are 0
-  and hyperplane slices repeat the graph of the sublink with one component
-  removed, translated by half linking numbers;
-* inside, cubes are completed one lattice point at a time, sweeping downward
-  from the corner; each cube either completes uniquely or the all-0/all-1
-  dichotomy is resolved by matching the cube's Euler characteristic to the
-  corresponding coefficient of the normalized polynomial;
-* the construction refuses inputs for which no consistent choice exists:
-  such inputs cannot be L-space links.
+* on each slab s_i >= m_i beyond the stabilization corner m(L), g repeats
+  the field of the sublink with component i removed, translated by half
+  linking numbers; where two slabs overlap they must agree;
+* inside, the cube at s is completed from the gradings of its other
+  vertices; the unique completion, or the all-0/all-1 branch whose Euler
+  characteristic matches the coefficient of the normalized polynomial at s,
+  fixes g(s - 1);
+* afterwards every cube's Euler characteristic is checked against that
+  coefficient, and the labels one step below the box must repeat.
 
-From the finished graph, the homology table assigns to each lattice point
-the corner homology of its unit cube, anchored by the vanishing top grading
-in the stable region.
+The construction refuses inputs for which no consistent field exists: such
+inputs cannot be L-space links.  The homology table assigns to each lattice
+point the corner homology of its unit cube, read off the gradings of the
+cube's vertices.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
-from .cubes import (CubeLabeling, GradedVS, complete_subgraph,
-                    corner_homology, euler_char, vertices)
-from .errors import (AmbiguousSign, HypothesisNotMet, NoValidExtension,
-                     NotLSpaceLink, RegionUnstable, UnsupportedComponents)
+from .cubes import (CubeLabeling, GradedVS, _corner_from_grading_key,
+                    complete_subgraph, euler_char, vertices)
+from .errors import (AmbiguousSign, HypothesisNotMet, NotLSpaceLink,
+                     RegionUnstable, UnsupportedComponents)
 from .laurent import MultiLaurent
 from .lspace import (LinkProfile, box_points, default_box, m_vector,
-                     normalized_family)
+                     normalized_family, resolve_margin)
 
 
 def m_of(prof: LinkProfile) -> tuple[int, ...]:
     """Stabilization corner of the lattice, in doubled coordinates."""
     return m_vector(prof)
-
-
-def _margin(margin=None) -> int:
-    if margin is None:
-        margin = int(os.environ.get("LFK_MARGIN", "2"))
-    if margin < 2:
-        raise ValueError("box margin must be at least 2")
-    return margin
 
 
 def _hull(box1, box2):
@@ -56,11 +50,12 @@ def _hull(box1, box2):
 class TGraph:
     """Edge labels and top gradings over a box of the Alexander lattice.
 
-    labels maps (point2, direction) to the label of the edge entering the
-    (doubled) point from below in that direction; g maps points to the even
-    top grading of the sublevel tower, normalized to 0 in the stable region.
-    Labels repeat verbatim below the box (checked during construction), so
-    lookups outside the stored region clamp back into it.
+    g maps (doubled) points to the even top grading of the sublevel tower,
+    normalized to 0 in the stable region; labels maps (point2, direction) to
+    the label of the edge entering the point from below in that direction,
+    half the difference of g across the edge.  Labels repeat verbatim below
+    the box (checked during construction), so lookups outside the stored
+    region clamp back into it.
     """
 
     l: int
@@ -132,7 +127,7 @@ def build_tgraph(prof: LinkProfile, box=None, margin=None,
     """
     if prof.l > 3:
         raise UnsupportedComponents("only 1, 2 or 3 components are supported")
-    margin = _margin(margin)
+    margin = resolve_margin(margin)
     autos = prof.auto_subsets()
     if not autos:
         return _build_resolved(prof, box, margin, sweep_order)
@@ -184,8 +179,7 @@ def _build_knot(prof, user_box) -> TGraph:
 
 def _build_multi(prof, user_box, margin, sweep_order) -> TGraph:
     l = prof.l
-    fam = normalized_family(prof)
-    p0 = fam.p_empty
+    p0 = normalized_family(prof).p_empty
     m2 = m_vector(prof)
     store_lo = tuple(lo - 4 for lo, _ in user_box)
     store_hi = tuple(hi for _, hi in user_box)
@@ -197,29 +191,24 @@ def _build_multi(prof, user_box, margin, sweep_order) -> TGraph:
         sub_prof = prof.sub_profile(frozenset(keep))
         req = tuple((store_lo[k - 1] - prof.lkval(k, i),
                      store_hi[k - 1] - prof.lkval(k, i)) for k in keep)
-        subs[i] = _build_resolved(sub_prof, req, margin, sweep_order)
+        subs[i] = (keep, _build_resolved(sub_prof, req, margin, sweep_order))
 
-    labels = {}
-
-    def sub_label(i, p, j):
-        keep = sorted(set(range(1, l + 1)) - {i})
-        shifted = tuple(p[k - 1] - prof.lkval(k, i) for k in keep)
-        return subs[i].label_at(shifted, keep.index(j) + 1)
-
-    # Stable prefill: 0-labels beyond the corner, sublink translates on the
-    # hyperplanes at or beyond it.
+    # Stable prefill: on the slab p_i >= m_i the grading is that of the
+    # sublink without component i, translated by half linking numbers.
+    g = {}
     for p in box_points(rect):
-        for j in range(1, l + 1):
-            if p[j - 1] >= m2[j - 1] + 2:
-                labels[(p, j)] = 0
-                continue
-            i = next((i for i in range(1, l + 1)
-                      if i != j and p[i - 1] >= m2[i - 1]), None)
-            if i is not None:
-                labels[(p, j)] = sub_label(i, p, j)
+        vals = {sub.g_at(tuple(p[k - 1] - prof.lkval(k, i) for k in keep))
+                for i, (keep, sub) in subs.items() if p[i - 1] >= m2[i - 1]}
+        if len(vals) > 1:
+            raise NotLSpaceLink(f"sublink gradings disagree at {p}")
+        if vals:
+            g[p] = vals.pop()
 
-    # Interior sweep: cubes with every coordinate at most the corner,
-    # processed so that each cube sees its non-origin edges already labeled.
+    # Interior sweep: the cube at s has its origin s - 1 below every slab;
+    # its other vertices are graded before it, so the cube's non-origin
+    # labels are known, and the completion the Euler characteristic selects
+    # grades the origin.  Labels taken from one grading field are consistent
+    # on every face, so a completion always exists.
     sweep_box = tuple((lo + 2, m) for (lo, _), m in zip(rect, m2))
     pts = list(box_points(sweep_box))
     if sweep_order == "sum":
@@ -229,23 +218,18 @@ def _build_multi(prof, user_box, margin, sweep_order) -> TGraph:
     else:
         raise ValueError(f"unknown sweep order {sweep_order!r}")
 
-    origin_vertex = (0,) * l
+    verts = vertices(l)
+    origin_vertex = verts[0]
     for s in pts:
+        cube = [tuple(x - 2 + 2 * e for x, e in zip(s, eps)) for eps in verts]
         partial = {}
-        for eps in vertices(l):
-            if eps == origin_vertex:
-                continue
-            for j in range(1, l + 1):
-                if eps[j - 1]:
-                    continue
-                p = tuple(s[k] - 2 + 2 * eps[k] + (2 if k == j - 1 else 0)
-                          for k in range(l))
-                partial[(eps, j)] = labels[(p, j)]
+        for eps, v in zip(verts[1:], cube[1:]):
+            for j in range(l):
+                if not eps[j]:
+                    up = v[:j] + (v[j] + 2,) + v[j + 1:]
+                    partial[(eps, j + 1)] = (g[up] - g[v]) // 2
         target = p0.coeff(s)
-        try:
-            comp = complete_subgraph(l, partial)
-        except NoValidExtension:
-            raise NotLSpaceLink(f"no consistent cube completion at {s}")
+        comp = complete_subgraph(l, partial)
         if comp.is_unique:
             chosen = comp.unique
             if euler_char(chosen) != target:
@@ -262,74 +246,28 @@ def _build_multi(prof, user_box, margin, sweep_order) -> TGraph:
                 raise NotLSpaceLink(
                     f"neither dichotomy branch at {s} matches "
                     f"coefficient {target}")
-        for j in range(1, l + 1):
-            p = tuple(s[k] - (0 if k == j - 1 else 2) for k in range(l))
-            v = chosen.label(origin_vertex, j)
-            old = labels.get((p, j))
-            if old is not None and old != v:
-                raise NotLSpaceLink(f"conflicting labels at {p} dir {j}")
-            labels[(p, j)] = v
+        # verts[1] is the unit vector e_l
+        g[cube[0]] = g[cube[1]] - 2 * chosen.label(origin_vertex, l)
 
-    _verify_faces(l, labels)
-    _verify_euler(prof, p0, l, labels, user_box)
-    _verify_bottom_stability(l, labels, user_box, rect)
-
-    g = {}
-    top = store_hi
-    g[top] = 0
-    for p in sorted(box_points(rect), key=lambda q: (-sum(q), q)):
-        if p == top:
-            continue
-        j = next(k for k in range(l) if p[k] < store_hi[k])
-        up = tuple(x + (2 if k == j else 0) for k, x in enumerate(p))
-        g[p] = g[up] - 2 * labels[(up, j + 1)]
-
-    return TGraph(l, user_box, m2, labels, g, prof, store_lo, store_hi)
-
-
-def _verify_faces(l, labels):
-    """Path-sum consistency of every square with all four edges stored."""
-    for (p, i), v in labels.items():
-        for j in range(i + 1, l + 1):
-            pi = tuple(x - (2 if k == i - 1 else 0) for k, x in enumerate(p))
-            pj = tuple(x - (2 if k == j - 1 else 0) for k, x in enumerate(p))
-            a = labels.get((p, j))
-            b = labels.get((pj, i))
-            c = labels.get((pi, j))
-            if a is None or b is None or c is None:
-                continue
-            if v + c != a + b:
-                raise NotLSpaceLink(
-                    f"square face at {p} (directions {i},{j}) is inconsistent")
-
-
-def _verify_euler(prof, p0, l, labels, user_box):
-    """Every assembled cube must have the Euler characteristic of its
-    coefficient in the normalized polynomial."""
-    check_box = tuple((lo - 2, hi) for lo, hi in user_box)
-    for s in box_points(check_box):
-        lab = {}
-        ok = True
-        for eps in vertices(l):
-            for j in range(1, l + 1):
-                if eps[j - 1]:
-                    continue
-                p = tuple(s[k] - 2 + 2 * eps[k] + (2 if k == j - 1 else 0)
-                          for k in range(l))
-                v = labels.get((p, j))
-                if v is None:
-                    ok = False
-                    break
-                lab[(eps, j)] = v
-            if not ok:
-                break
-        if not ok:
-            continue
-        chi = euler_char(CubeLabeling(l, lab))
+    # Every cube, the slab ones included, must have the Euler characteristic
+    # of its coefficient in the normalized polynomial.
+    signs = [(-1) ** (l + sum(eps)) for eps in verts]
+    for s in box_points(tuple((lo - 2, hi) for lo, hi in user_box)):
+        chi = sum(sg * g[tuple(x - 2 + 2 * e for x, e in zip(s, eps))]
+                  for sg, eps in zip(signs, verts)) // 2
         if chi != p0.coeff(s):
             raise NotLSpaceLink(
                 f"cube at {s} has Euler characteristic {chi}, "
                 f"need coefficient {p0.coeff(s)}")
+
+    labels = {}
+    for p in box_points(rect):
+        for j in range(l):
+            if p[j] > store_lo[j]:
+                down = p[:j] + (p[j] - 2,) + p[j + 1:]
+                labels[(p, j + 1)] = (g[p] - g[down]) // 2
+    _verify_bottom_stability(l, labels, user_box, rect)
+    return TGraph(l, user_box, m2, labels, g, prof, store_lo, store_hi)
 
 
 def _verify_bottom_stability(l, labels, user_box, rect):
@@ -389,10 +327,15 @@ class HFLTable:
 
 
 def _corner_table(tg: TGraph) -> dict:
+    """Corner homology of each box point's unit cube, read off the gradings
+    of its 2^l vertices."""
+    verts = vertices(tg.l)
     out = {}
     for s in box_points(tg.box):
-        cube, origin = tg.cube_at(s)
-        out[s] = corner_homology(cube, origin)
+        gs = [tg.g_at(tuple(x - 2 + 2 * e for x, e in zip(s, eps)))
+              for eps in verts]
+        rel = tuple(x - gs[0] for x in gs)
+        out[s] = _corner_from_grading_key(tg.l, rel).shifted(gs[0])
     return out
 
 

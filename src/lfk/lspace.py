@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -367,6 +368,16 @@ def m_vector(prof: LinkProfile) -> tuple[int, ...]:
     return tuple(out)
 
 
+def resolve_margin(margin: int | None = None) -> int:
+    """The box margin: the given value, else the environment variable
+    LFK_MARGIN, else 2.  It must be an integer of at least 2."""
+    if margin is None:
+        margin = int(os.environ.get("LFK_MARGIN", "2"))
+    if margin < 2:
+        raise ValueError("box margin must be at least 2")
+    return margin
+
+
 def default_box(prof: LinkProfile, margin: int = 2):
     """Per-coordinate doubled ranges [lo2, hi2] on the lattice cosets."""
     if margin < 2:
@@ -384,6 +395,15 @@ def default_box(prof: LinkProfile, margin: int = 2):
             hi = p0.max_exp2(i) if not p0.is_zero() else m2[i - 1]
         los.append(lo - 2 * margin)
         his.append(max(m2[i - 1], hi) + 2 * margin)
+    if not isinstance(p0, TailPoly) and p0.is_zero():
+        # A vanishing polynomial (a split link) does not show where the
+        # sublinks stop changing, so their boxes are taken in as well.
+        for j in range(1, prof.l + 1):
+            keep = [k for k in range(1, prof.l + 1) if k != j]
+            sub = default_box(prof.sub_profile(frozenset(keep)), margin)
+            for k, (lo, hi) in zip(keep, sub):
+                los[k - 1] = min(los[k - 1], lo + prof.lkval(k, j))
+                his[k - 1] = max(his[k - 1], hi + prof.lkval(k, j))
     return tuple(zip(los, his))
 
 

@@ -108,6 +108,21 @@ def test_margin_env_override():
     assert rc == 0
     small = run_cli("tgraph", "--ab", "8", "-3")[1]
     assert json.loads(out)["box"] != json.loads(small)["box"]
+    for bad in ("1", "abc"):
+        for cmd in ("check", "tgraph"):
+            rc, _, err = run_cli(cmd, "--ab", "8", "-3",
+                                 env={"LFK_MARGIN": bad})
+            assert rc == 1 and "error" in err, (cmd, bad)
+
+
+def test_expansion_input_matches_ab(capsys):
+    for cmd in ("check", "tgraph", "hfl"):
+        assert main([cmd, "--exp=-3,-1,1"]) == 0
+        by_exp = capsys.readouterr().out
+        assert main([cmd, "--ab", "20", "-3"]) == 0
+        assert capsys.readouterr().out == by_exp, cmd
+        assert main([cmd]) == 1
+        assert "error" in capsys.readouterr().err
 
 
 def test_equivalence_orbit_and_representative():

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from lfk.bridge import TwoBridge, signature
-from lfk.cubes import GradedVS
+from lfk.cubes import GradedVS, corner_homology
 from lfk.errors import HypothesisNotMet, NotLSpaceLink, UnsupportedComponents
 from lfk.floer import (alternating_cross_check, build_tgraph, hfl_hat,
                        hfl_minus, m_of)
@@ -167,15 +167,18 @@ def test_cross_check_vacuous_when_polynomial_vanishes():
     assert rep.ok
 
 
+def _assert_cube_route(table):
+    """The table read off the grading field agrees, at every box point,
+    with corner homology of the unit cube assembled from edge labels."""
+    tg = table.tgraph
+    for s in box_points(tg.box):
+        assert table.entry(s) == corner_homology(*tg.cube_at(s)), s
+
+
 def test_three_component_split_union_factors():
     # Adding a distant unknot tensors the table with F(s3)|_{s3<=0} and one
     # extra F(0)+F(-1) factor, the same factor the two-component unlink
-    # exhibits relative to two unknots.
-    hopf = fixed_profile(2, -1)
-    h_table = hfl_minus(hopf)
-    prof3 = _split_union_with_unknot(hopf)
-    table = hfl_minus(prof3)
-
+    # exhibits relative to two unknots.  All build at the default margin.
     def tensor(a, b):
         out = {}
         for g1, m1 in a.dims:
@@ -184,10 +187,15 @@ def test_three_component_split_union_factors():
         return GradedVS.from_dict(out)
 
     extra = GradedVS(((0, 1), (-1, 1)))
-    for s in box_points(table.box):
-        u = GradedVS(((s[2], 1),)) if s[2] <= 0 else GradedVS.zero()
-        want = tensor(tensor(h_table.entry((s[0], s[1])), u), extra)
-        assert table.entry(s) == want, s
+    for alpha, beta in ((2, -1), (20, -3), (14, -5)):
+        pair = fixed_profile(alpha, beta)
+        table = hfl_minus(_split_union_with_unknot(pair))
+        _assert_cube_route(table)
+        h_table = hfl_minus(pair, build_tgraph(pair, box=table.box[:2]))
+        for s in box_points(table.box):
+            u = GradedVS(((s[2], 1),)) if s[2] <= 0 else GradedVS.zero()
+            want = tensor(tensor(h_table.entry((s[0], s[1])), u), extra)
+            assert table.entry(s) == want, (alpha, beta, s)
 
 
 def _split_union_with_unknot(pair_profile):
@@ -211,6 +219,7 @@ def test_three_component_unlink():
     prof = unlink_profile(3)
     tg = build_tgraph(prof)
     table = hfl_minus(prof, tg)
+    _assert_cube_route(table)
     assert m_of(prof) == (0, 0, 0)
     for s, v in table.table.items():
         assert v.euler() == 0
@@ -227,6 +236,7 @@ def test_family_members_build_up_to_40():
                 continue
             prof = fixed_profile(alpha, -k)
             table = hfl_minus(prof)
+            _assert_cube_route(table)
             assert table.euler_series() == normalized_family(prof).p_empty
             rep = alternating_cross_check(prof, signature(TwoBridge(alpha, -k)))
             assert rep.ok, (alpha, -k, rep.mismatches[:2])
