@@ -19,8 +19,9 @@ from .bridge import TwoBridge, even_expansion, signature
 from .cubes import CubeLabeling, corner_homology, oracle_corner_homology
 from .errors import LfkError, NotLSpaceLink, UnsupportedForm
 from .floer import alternating_cross_check, build_tgraph, hfl_hat, hfl_minus
-from .lspace import (LinkProfile, cor_alex2_check, normalized_family,
-                     resolve_margin, theorem_alex_check, two_bridge_profile)
+from .lspace import (CorReport, LinkProfile, cor_alex2_check,
+                     normalized_family, resolve_margin, theorem_alex_check,
+                     two_bridge_profile)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -236,11 +237,13 @@ def _profile_from_args(args) -> LinkProfile:
     return two_bridge_profile(_expansion_from(args)[1])
 
 
-def _resolve_two_bridge_sign(prof: LinkProfile) -> tuple[LinkProfile, str | None]:
+def _resolve_two_bridge_sign(prof: LinkProfile) -> tuple[LinkProfile, CorReport]:
+    """Pin the full polynomial's sign when exactly one sign passes the
+    corollary conditions; also return that check's report."""
     rep = cor_alex2_check(prof)
-    if rep.sign is None:
-        return prof, None
-    return prof.with_signs({prof.full(): rep.sign}), "+" if rep.sign == 1 else "-"
+    if rep.sign is not None:
+        prof = prof.with_signs({prof.full(): rep.sign})
+    return prof, rep
 
 
 def _add_link_args(sub, profile_ok=True):
@@ -282,7 +285,7 @@ def _reject(reason: str, detail=None) -> int:
 def _cmd_alex(args) -> int:
     link, exp = _expansion_from(args)
     prof = two_bridge_profile(exp)
-    prof, sign = _resolve_two_bridge_sign(prof)
+    prof, rep = _resolve_two_bridge_sign(prof)
     fam = normalized_family(prof)
     out = {
         "alpha": link.alpha, "beta": link.beta,
@@ -290,7 +293,7 @@ def _cmd_alex(args) -> int:
         "linking_number": prof.lkval(1, 2),
         "delta": prof.delta[prof.full()].to_json(),
         "p_empty": fam.p_empty.to_json(),
-        "sign": sign,
+        "sign": {1: "+", -1: "-"}.get(rep.sign),
     }
     print(json.dumps(out))
     return EXIT_OK
@@ -298,11 +301,12 @@ def _cmd_alex(args) -> int:
 
 def _cmd_check(args) -> int:
     prof = _profile_from_args(args)
-    margin = resolve_margin(args.margin or None)
+    margin = resolve_margin(args.margin)
     if prof.l == 2:
-        prof, _ = _resolve_two_bridge_sign(prof)
-        cor = cor_alex2_check(prof)
-        if not cor.ok:
+        # With a passing sign pinned the conditions hold, so only an
+        # unresolved sign can fail them.
+        prof, cor = _resolve_two_bridge_sign(prof)
+        if cor.sign is None and not cor.ok:
             f = cor.first_failure()
             return _reject(f"cor_alex2: {f[3]}", cor.to_json())
     thm = theorem_alex_check(prof, margin=margin)
@@ -319,7 +323,7 @@ def _cmd_tgraph(args) -> int:
     if prof.l == 2:
         prof, _ = _resolve_two_bridge_sign(prof)
     try:
-        tg = build_tgraph(prof, margin=args.margin or None)
+        tg = build_tgraph(prof, margin=args.margin)
     except NotLSpaceLink as err:
         return _reject(f"NotLSpaceLink: {err}")
     print(json.dumps(tg.to_json()))
@@ -331,7 +335,7 @@ def _cmd_hfl(args) -> int:
     if prof.l == 2:
         prof, _ = _resolve_two_bridge_sign(prof)
     try:
-        table = hfl_minus(prof, margin=args.margin or None)
+        table = hfl_minus(prof, margin=args.margin)
     except NotLSpaceLink as err:
         return _reject(f"NotLSpaceLink: {err}")
     out = table.to_json()
@@ -376,7 +380,7 @@ def _cmd_cube(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    records = classify(args.max_alpha, margin=args.margin or None)
+    records = classify(args.max_alpha, margin=args.margin)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(records_to_csv(records))

@@ -2,10 +2,10 @@
 
 Each lattice point s carries the even top grading g(s) of its sublevel
 tower, normalized to 0 in the stable region (g = -2H for the H-function of
-an L-space link).  The label of the edge into s in direction j is
-(g(s) - g(s - e_j)) / 2: 0 when the inclusion of sublevel complexes is an
-isomorphism, 1 when it drops a tower step.  The field is built in one
-downward pass:
+an L-space link).  g is the one stored field: the label of the edge into s
+in direction j is read off it as (g(s) - g(s - e_j)) / 2, which is 0 when
+the inclusion of sublevel complexes is an isomorphism and 1 when it drops a
+tower step.  The field is built in one downward pass:
 
 * on each slab s_i >= m_i beyond the stabilization corner m(L), g repeats
   the field of the sublink with component i removed, translated by half
@@ -48,40 +48,42 @@ def _hull(box1, box2):
 
 @dataclass(frozen=True)
 class TGraph:
-    """Edge labels and top gradings over a box of the Alexander lattice.
+    """Top gradings over a box of the Alexander lattice.
 
-    g maps (doubled) points to the even top grading of the sublevel tower,
-    normalized to 0 in the stable region; labels maps (point2, direction) to
-    the label of the edge entering the point from below in that direction,
-    half the difference of g across the edge.  Labels repeat verbatim below
-    the box (checked during construction), so lookups outside the stored
-    region clamp back into it.
+    g maps (doubled) points of the stored region to the even top grading of
+    the sublevel tower, normalized to 0 in the stable region; it is the one
+    stored field.  The label of the edge entering a point from below in a
+    direction is half the difference of g across that edge.  Labels repeat
+    verbatim below the box (checked during construction), so lookups outside
+    the stored region clamp back into it.
     """
 
     l: int
     box: tuple                      # user-facing per-coordinate (lo2, hi2)
     m2: tuple
-    labels: dict
     g: dict
     profile: LinkProfile
     store_lo: tuple
     store_hi: tuple
-    stabilized_below: bool = True
 
     def label_at(self, p2, j: int) -> int:
-        """Total lookup: 0 beyond the corner, stored values inside the
-        computed region, and row-repeating clamps outside it."""
-        p2 = tuple(p2)
+        """Total lookup: 0 beyond the corner, g differences inside the
+        stored region, and row-repeating clamps outside it."""
         if p2[j - 1] >= self.m2[j - 1] + 2:
             return 0
-        stored = self.labels.get((p2, j))
-        if stored is not None:
-            return stored
-        q = []
-        for k, x in enumerate(p2):
-            lo = self.store_lo[k] + (2 if k == j - 1 else 0)
-            q.append(min(max(x, lo), self.store_hi[k]))
-        return self.labels[(tuple(q), j)]
+        q = [min(max(x, lo), hi)
+             for x, lo, hi in zip(p2, self.store_lo, self.store_hi)]
+        q[j - 1] = max(q[j - 1], self.store_lo[j - 1] + 2)
+        top = tuple(q)
+        q[j - 1] -= 2
+        return (self.g[top] - self.g[tuple(q)]) // 2
+
+    @property
+    def labels(self) -> dict:
+        """Every edge label inside the stored region, keyed (point2, j)."""
+        return {(p, j): self.label_at(p, j)
+                for p in sorted(self.g) for j in range(1, self.l + 1)
+                if p[j - 1] > self.store_lo[j - 1]}
 
     def g_at(self, p2) -> int:
         p2 = tuple(min(x, self.store_hi[k]) for k, x in enumerate(p2))
@@ -102,17 +104,14 @@ class TGraph:
         return CubeLabeling(self.l, lab), origin
 
     def to_json(self) -> dict:
-        pts = sorted(p for p in self.g if all(
-            lo <= x <= hi for x, (lo, hi) in zip(p, self.box)))
+        pts = list(box_points(self.box))
         return {
             "box": [list(b) for b in self.box],
             "m2": list(self.m2),
-            "labels": [{"s2": list(p), "dir": j, "l": v}
-                       for (p, j), v in sorted(self.labels.items())
-                       if all(lo <= x <= hi
-                              for x, (lo, hi) in zip(p, self.box))],
+            "labels": [{"s2": list(p), "dir": j, "l": self.label_at(p, j)}
+                       for p in pts for j in range(1, self.l + 1)],
             "g": [{"s2": list(p), "g": self.g[p]} for p in pts],
-            "stabilized_below": self.stabilized_below,
+            "stabilized_below": True,   # construction refuses otherwise
         }
 
 
@@ -160,21 +159,19 @@ def _build_resolved(prof, box, margin, sweep_order) -> TGraph:
 def _build_knot(prof, user_box) -> TGraph:
     (lo, hi), = user_box
     tail = normalized_family(prof).p_empty
-    m2 = m_vector(prof)
-    labels = {}
     for p in range(lo - 4, hi + 1, 2):
         a = tail.coeff(p)
         if a not in (0, 1):
             raise NotLSpaceLink(
                 f"normalized coefficient {a} at exponent {p}/2; "
                 "not an L-space knot profile (or wrong sign)")
-        labels[((p,), 1)] = a
-    if labels[((lo - 2,), 1)] != labels[((lo,), 1)]:
+    if tail.coeff(lo - 2) != tail.coeff(lo):
         raise RegionUnstable("labels not yet periodic at the box bottom")
+    # The label entering p is the tail coefficient at p, and g is 0 at hi.
     g = {(hi,): 0}
     for p in range(hi - 2, lo - 5, -2):
-        g[(p,)] = g[(p + 2,)] - 2 * labels[((p + 2,), 1)]
-    return TGraph(1, user_box, m2, labels, g, prof, (lo - 4,), (hi,))
+        g[(p,)] = g[(p + 2,)] - 2 * tail.coeff(p + 2)
+    return TGraph(1, user_box, m_vector(prof), g, prof, (lo - 4,), (hi,))
 
 
 def _build_multi(prof, user_box, margin, sweep_order) -> TGraph:
@@ -260,29 +257,26 @@ def _build_multi(prof, user_box, margin, sweep_order) -> TGraph:
                 f"cube at {s} has Euler characteristic {chi}, "
                 f"need coefficient {p0.coeff(s)}")
 
-    labels = {}
-    for p in box_points(rect):
-        for j in range(l):
-            if p[j] > store_lo[j]:
-                down = p[:j] + (p[j] - 2,) + p[j + 1:]
-                labels[(p, j + 1)] = (g[p] - g[down]) // 2
-    _verify_bottom_stability(l, labels, user_box, rect)
-    return TGraph(l, user_box, m2, labels, g, prof, store_lo, store_hi)
+    tg = TGraph(l, user_box, m2, g, prof, store_lo, store_hi)
+    _verify_bottom_stability(tg)
+    return tg
 
 
-def _verify_bottom_stability(l, labels, user_box, rect):
-    """One step below the box, labels must repeat the bottom row."""
-    for axis in range(l):
-        low = user_box[axis][0]
-        for (p, j), v in labels.items():
-            if p[axis] != low - 2:
-                continue
-            up = tuple(x + (2 if k == axis else 0) for k, x in enumerate(p))
-            w = labels.get((up, j))
-            if w is not None and w != v:
-                raise RegionUnstable(
-                    f"labels below the box at {p} differ from the bottom row; "
-                    "enlarge the margin (LFK_MARGIN)")
+def _verify_bottom_stability(tg: TGraph):
+    """One step below the box, labels must repeat the bottom row.  Points
+    are scanned in sorted order, so the reported witness is canonical."""
+    rect = tuple(zip(tg.store_lo, tg.store_hi))
+    for axis in range(tg.l):
+        low = tg.box[axis][0]
+        row = rect[:axis] + ((low - 2, low - 2),) + rect[axis + 1:]
+        for p in box_points(row):
+            up = p[:axis] + (low,) + p[axis + 1:]
+            for j in range(1, tg.l + 1):
+                if p[j - 1] > tg.store_lo[j - 1] and \
+                        tg.label_at(p, j) != tg.label_at(up, j):
+                    raise RegionUnstable(
+                        f"labels below the box at {p} differ from the bottom "
+                        "row; enlarge the margin (LFK_MARGIN)")
 
 
 # -- homology tables ---------------------------------------------------------------

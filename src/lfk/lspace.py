@@ -17,9 +17,8 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache
 
 from .bridge import (TwoBridge, alexander, even_expansion, linking_number)
 from .errors import CosetViolation, RegionUnstable
@@ -131,7 +130,6 @@ class LinkProfile:
     def sub_profile(self, m) -> LinkProfile:
         """Profile of the sublink on components m, reindexed to 1..|m|."""
         comps = sorted(m)
-        rank = {c: i + 1 for i, c in enumerate(comps)}
         lk = tuple(tuple(self.lkval(a, b) for b in comps) for a in comps)
         delta = {}
         signs = {}
@@ -139,7 +137,6 @@ class LinkProfile:
             orig = frozenset(comps[i - 1] for i in sub)
             delta[sub] = self.delta[orig]
             signs[sub] = self.signs[orig]
-        del rank
         return LinkProfile(len(comps), lk, delta, signs)
 
     # -- JSON -----------------------------------------------------------------
@@ -222,33 +219,6 @@ class NormalizedFamily:
     def p_empty(self):
         return self.entries[frozenset()]
 
-    @cached_property
-    def _column_index(self):
-        """Suffix-sum tables for two-variable entries, per direction.
-
-        Maps (S, r) to {e_r: (sorted other exponents, suffix sums)} so that
-        dominance sums reduce to one bisect.
-        """
-        idx = {}
-        for s, entry in self.entries.items():
-            if isinstance(entry, TailPoly) or entry.nvars != 2:
-                continue
-            comp = sorted(set(range(1, self.l + 1)) - s)
-            for rpos, r in enumerate(comp):
-                cols = {}
-                for e2, c in entry.terms.items():
-                    cols.setdefault(e2[rpos], []).append((e2[1 - rpos], c))
-                packed = {}
-                for er, pairs in cols.items():
-                    pairs.sort()
-                    exps = [e for e, _ in pairs]
-                    suff = [0] * (len(pairs) + 1)
-                    for k in range(len(pairs) - 1, -1, -1):
-                        suff[k] = suff[k + 1] + pairs[k][1]
-                    packed[er] = (exps, suff)
-                idx[(s, r)] = packed
-        return idx
-
 
 def normalized_family(prof: LinkProfile) -> NormalizedFamily:
     """Build every normalized sublink polynomial of the profile.
@@ -307,13 +277,6 @@ def r_sum(fam: NormalizedFamily, s_set, point2, r: int) -> int:
     comp = sorted(set(range(1, fam.l + 1)) - s_set)
     if isinstance(entry, TailPoly):
         return entry.coeff(point2[r - 1])
-    if entry.nvars == 2:
-        packed = fam._column_index[(s_set, r)].get(point2[r - 1])
-        if packed is None:
-            return 0
-        other = next(j for j in comp if j != r)
-        exps, suff = packed
-        return suff[bisect_left(exps, point2[other - 1])]
     rpos = comp.index(r)
     total = 0
     for e2, c in entry.terms.items():
@@ -326,7 +289,8 @@ def r_sum(fam: NormalizedFamily, s_set, point2, r: int) -> int:
 
 
 def theorem_sum(fam: NormalizedFamily, point2, r: int) -> int:
-    """The alternating sum over admissible S of the signed region sums."""
+    """The alternating sum over admissible S of the signed region sums: the
+    label of the edge entering point2 - 2 * sum_{j != r} e_j in direction r."""
     l = fam.l
     total = 0
     for s in subsets_of(l, proper=True):
@@ -439,18 +403,14 @@ def theorem_alex_check(prof: LinkProfile, box=None, margin: int = 2) -> TheoremR
     fam = normalized_family(prof)
     if box is None:
         box = default_box(prof, margin)
-    violations = []
-    for point in box_points(box):
-        for r in range(1, prof.l + 1):
-            val = theorem_sum(fam, point, r)
-            if val not in (0, 1):
-                violations.append((tuple(point), r, val))
-    _check_box_stability(fam, box)
-    return TheoremReport(not violations, tuple(violations), tuple(box))
+    l = prof.l
 
+    @cache      # face points and their outward neighbours are reused
+    def val(p, r):
+        return theorem_sum(fam, p, r)
 
-def _check_box_stability(fam: NormalizedFamily, box):
-    l = fam.l
+    violations = [(p, r, val(p, r)) for p in box_points(box)
+                  for r in range(1, l + 1) if val(p, r) not in (0, 1)]
     for axis in range(l):
         for side, step in ((0, -2), (1, 2)):
             edge = box[axis][side]
@@ -460,10 +420,11 @@ def _check_box_stability(fam: NormalizedFamily, box):
                 outward = tuple(x + step if k == axis else x
                                 for k, x in enumerate(point))
                 for r in range(1, l + 1):
-                    if theorem_sum(fam, point, r) != theorem_sum(fam, outward, r):
+                    if val(point, r) != val(outward, r):
                         raise RegionUnstable(
                             f"value changes stepping outward at {point} "
                             f"(direction {r}); enlarge the margin")
+    return TheoremReport(not violations, tuple(violations), tuple(box))
 
 
 @dataclass(frozen=True)
@@ -493,11 +454,12 @@ def cor_alex2_check(prof: LinkProfile) -> CorReport:
     """
     if prof.l != 2:
         raise ValueError("this corollary checker needs exactly two components")
-    passing = [s for s in (1, -1)
-               if not _cor_failures(prof.with_signs({prof.full(): s}))]
-    failures = _cor_failures(prof)
+    # The +1 run is the profile as given: that sign keeps delta.
+    runs = {s: _cor_failures(prof.with_signs({prof.full(): s}))
+            for s in (1, -1)}
+    passing = [s for s in (1, -1) if not runs[s]]
     sign = passing[0] if len(passing) == 1 else None
-    return CorReport(not failures, tuple(failures), sign)
+    return CorReport(not runs[1], tuple(runs[1]), sign)
 
 
 def _cor_failures(prof: LinkProfile):

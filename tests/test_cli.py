@@ -5,13 +5,20 @@ import sys
 
 import pytest
 
+import lfk
 from lfk.cli import (SweepRecord, class_id_of, class_representative, classify,
                      classification_summary, equivalence_orbit, family_links,
                      main, records_from_csv, records_to_csv)
 
 
+# The directory lfk was imported from, so the subprocess finds the same copy.
+SRC = os.path.dirname(os.path.dirname(lfk.__file__))
+
+
 def run_cli(*args, env=None):
     full_env = dict(os.environ)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (SRC, full_env.get("PYTHONPATH"))))
     if env:
         full_env.update(env)
     proc = subprocess.run([sys.executable, "-m", "lfk.cli", *args],
@@ -113,6 +120,16 @@ def test_margin_env_override():
             rc, _, err = run_cli(cmd, "--ab", "8", "-3",
                                  env={"LFK_MARGIN": bad})
             assert rc == 1 and "error" in err, (cmd, bad)
+
+
+def test_margin_below_two_is_refused(capsys):
+    for cmd in (["check", "--ab", "8", "-3"], ["tgraph", "--ab", "8", "-3"],
+                ["hfl", "--ab", "8", "-3"], ["classify", "--max-alpha", "4"]):
+        for bad in ("0", "-2"):
+            assert main([*cmd, "--margin", bad]) == 1, (cmd, bad)
+            assert "error" in capsys.readouterr().err, (cmd, bad)
+        assert main([*cmd, "--margin", "2"]) == 0, cmd
+        capsys.readouterr()
 
 
 def test_expansion_input_matches_ab(capsys):

@@ -3,13 +3,15 @@ import math
 import pytest
 
 from lfk.bridge import TwoBridge, signature
+from lfk.cli import family_links
 from lfk.cubes import GradedVS, corner_homology
 from lfk.errors import HypothesisNotMet, NotLSpaceLink, UnsupportedComponents
 from lfk.floer import (alternating_cross_check, build_tgraph, hfl_hat,
                        hfl_minus, m_of)
 from lfk.laurent import MultiLaurent
 from lfk.lspace import (box_points, cor_alex2_check, normalized_family,
-                        two_bridge_profile, unknot_profile, unlink_profile)
+                        theorem_sum, two_bridge_profile, unknot_profile,
+                        unlink_profile)
 
 
 def vs(*pairs):
@@ -226,6 +228,22 @@ def test_three_component_unlink():
         # full symmetry under coordinate permutations
         assert table.table[(s[1], s[2], s[0])] == v
     assert table.entry((0, 0, 0)) == vs((0, 1), (-1, 2), (-2, 1))
+
+
+def test_theorem_sums_are_lattice_labels():
+    # The theorem's signed coefficient sum at s in direction r is the label
+    # of the edge entering s - 2 * sum_{j != r} e_j in direction r: a route
+    # to the labels that does not pass through the lattice graph.
+    profiles = [fixed_profile(m.alpha, m.beta) for m in family_links(40)]
+    profiles += [unlink_profile(3),
+                 _split_union_with_unknot(fixed_profile(20, -3))]
+    for prof in profiles:
+        tg = build_tgraph(prof)
+        fam = normalized_family(prof)
+        for s in box_points(tg.box):
+            for r in range(1, tg.l + 1):
+                p = tuple(x if k == r - 1 else x - 2 for k, x in enumerate(s))
+                assert theorem_sum(fam, s, r) == tg.label_at(p, r), (s, r)
 
 
 def test_family_members_build_up_to_40():

@@ -111,6 +111,14 @@ def test_theorem_check_narrow_box_is_unstable():
         theorem_alex_check(prof, box=((0, 2), (0, 2)))
 
 
+def test_theorem_check_box_edge_off_the_lattice():
+    # An explicit box edge off the lattice coset is still compared outward.
+    prof = b20_profile()
+    on = theorem_alex_check(prof, box=((-8, 8), (-8, 8)))
+    off = theorem_alex_check(prof, box=((-8, 9), (-8, 8)))
+    assert on.ok and off.ok
+
+
 def test_cor_check_b20():
     prof = two_bridge_profile(TwoBridge(20, -3))
     rep = cor_alex2_check(prof)
