@@ -238,8 +238,7 @@ def _profile_from_args(args) -> LinkProfile:
 
 
 def _resolve_two_bridge_sign(prof: LinkProfile) -> tuple[LinkProfile, CorReport]:
-    """Pin the full polynomial's sign when exactly one sign passes the
-    corollary conditions; also return that check's report."""
+    """Pin the sign of Delta when exactly one passes; return the report too."""
     rep = cor_alex2_check(prof)
     if rep.sign is not None:
         prof = prof.with_signs({prof.full(): rep.sign})
@@ -303,8 +302,7 @@ def _cmd_check(args) -> int:
     prof = _profile_from_args(args)
     margin = resolve_margin(args.margin)
     if prof.l == 2:
-        # With a passing sign pinned the conditions hold, so only an
-        # unresolved sign can fail them.
+        # A pinned sign passes, so only an unresolved sign can fail.
         prof, cor = _resolve_two_bridge_sign(prof)
         if cor.sign is None and not cor.ok:
             f = cor.first_failure()

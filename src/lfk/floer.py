@@ -74,20 +74,22 @@ class TGraph:
         q = [min(max(x, lo), hi)
              for x, lo, hi in zip(p2, self.store_lo, self.store_hi)]
         q[j - 1] = max(q[j - 1], self.store_lo[j - 1] + 2)
-        top = tuple(q)
-        q[j - 1] -= 2
-        return (self.g[top] - self.g[tuple(q)]) // 2
+        return self._g_step(tuple(q), j)
+
+    def _g_step(self, p2, j: int) -> int:
+        """Half the g difference across the edge entering p2 in direction j."""
+        down = p2[:j - 1] + (p2[j - 1] - 2,) + p2[j:]
+        return (self.g[p2] - self.g[down]) // 2
 
     @property
     def labels(self) -> dict:
-        """Every edge label inside the stored region, keyed (point2, j)."""
-        return {(p, j): self.label_at(p, j)
+        """Edge labels of the stored region as g differences, keyed (p2, j)."""
+        return {(p, j): self._g_step(p, j)
                 for p in sorted(self.g) for j in range(1, self.l + 1)
                 if p[j - 1] > self.store_lo[j - 1]}
 
     def g_at(self, p2) -> int:
-        p2 = tuple(min(x, self.store_hi[k]) for k, x in enumerate(p2))
-        return self.g[p2]
+        return self.g[tuple(min(x, hi) for x, hi in zip(p2, self.store_hi))]
 
     def cube_at(self, s2) -> tuple[CubeLabeling, int]:
         """The unit-cube labeling at a lattice point plus its origin grading."""
@@ -263,8 +265,8 @@ def _build_multi(prof, user_box, margin, sweep_order) -> TGraph:
 
 
 def _verify_bottom_stability(tg: TGraph):
-    """One step below the box, labels must repeat the bottom row.  Points
-    are scanned in sorted order, so the reported witness is canonical."""
+    """One step below the box, the g differences must repeat the bottom row;
+    points are scanned in sorted order, so the witness is canonical."""
     rect = tuple(zip(tg.store_lo, tg.store_hi))
     for axis in range(tg.l):
         low = tg.box[axis][0]
@@ -273,7 +275,7 @@ def _verify_bottom_stability(tg: TGraph):
             up = p[:axis] + (low,) + p[axis + 1:]
             for j in range(1, tg.l + 1):
                 if p[j - 1] > tg.store_lo[j - 1] and \
-                        tg.label_at(p, j) != tg.label_at(up, j):
+                        tg._g_step(p, j) != tg._g_step(up, j):
                     raise RegionUnstable(
                         f"labels below the box at {p} differ from the bottom "
                         "row; enlarge the margin (LFK_MARGIN)")

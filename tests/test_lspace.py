@@ -112,11 +112,12 @@ def test_theorem_check_narrow_box_is_unstable():
 
 
 def test_theorem_check_box_edge_off_the_lattice():
-    # An explicit box edge off the lattice coset is still compared outward.
+    # An explicit box edge off the lattice coset is compared outward: the
+    # face at 3 differs from its neighbour at 5, the face at 9 does not.
     prof = b20_profile()
-    on = theorem_alex_check(prof, box=((-8, 8), (-8, 8)))
-    off = theorem_alex_check(prof, box=((-8, 9), (-8, 8)))
-    assert on.ok and off.ok
+    assert theorem_alex_check(prof, box=((-8, 9), (-8, 8))).ok
+    with pytest.raises(RegionUnstable, match=r"at \(3, 2\)"):
+        theorem_alex_check(prof, box=((-8, 3), (-8, 8)))
 
 
 def test_cor_check_b20():
