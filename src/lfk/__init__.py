@@ -16,7 +16,7 @@ from .cubes import (CubeLabeling, GradedVS, complete_subgraph,
                     corner_homology, enumerate_valid_labelings, euler_char,
                     oracle_corner_homology, validate)
 from .floer import (HFLTable, TGraph, alternating_cross_check, build_tgraph,
-                    hfl_hat, hfl_minus, m_of)
+                    hfl_hat, hfl_minus)
 from .laurent import (MultiLaurent, TailPoly, arith, coeff, diagonal,
                       eval_signs, exact_div, restrict)
 from .lspace import (LinkProfile, NormalizedFamily, cor_alex2_check,

@@ -108,8 +108,13 @@ def class_representative(alpha: int, beta: int) -> TwoBridge:
     return TwoBridge(alpha, _beta_from_residue(alpha, r))
 
 
+def _class_id(rep: TwoBridge) -> str:
+    """Class id of a representative: alpha and its (smallest) residue."""
+    return f"{rep.alpha}:{rep.beta % (2 * rep.alpha)}"
+
+
 def class_id_of(alpha: int, beta: int) -> str:
-    return f"{alpha}:{min(equivalence_orbit(alpha, beta))}"
+    return _class_id(class_representative(alpha, beta))
 
 
 def all_candidates(max_alpha: int):
@@ -131,11 +136,13 @@ def family_links(max_alpha: int) -> list[TwoBridge]:
     return out
 
 
-def _pipeline(rep: TwoBridge, margin: int) -> SweepRecord:
+def _family_ids(max_alpha: int) -> set[str]:
+    return {class_id_of(m.alpha, m.beta) for m in family_links(max_alpha)}
+
+
+def _pipeline(rep: TwoBridge, cid: str, fam: bool,
+              margin: int) -> SweepRecord:
     exp = even_expansion(rep)
-    cid = class_id_of(rep.alpha, rep.beta)
-    fam = any(equivalent_to_family(rep, member)
-              for member in family_links(rep.alpha))
     prof = two_bridge_profile(exp)
     cor = cor_alex2_check(prof)
     if cor.sign is None:
@@ -160,11 +167,6 @@ def _pipeline(rep: TwoBridge, margin: int) -> SweepRecord:
                        scv, fam, cid)
 
 
-def equivalent_to_family(link: TwoBridge, member: TwoBridge) -> bool:
-    from .bridge import equivalent
-    return equivalent(link, member, allow_orientation_reversal=True)
-
-
 def classify(max_alpha: int, margin: int | None = None) -> list[SweepRecord]:
     """Run the full pipeline on one representative per equivalence class."""
     if max_alpha < 2:
@@ -172,30 +174,28 @@ def classify(max_alpha: int, margin: int | None = None) -> list[SweepRecord]:
     margin = resolve_margin(margin)
     reps = {}
     for cand in all_candidates(max_alpha):
-        cid = class_id_of(cand.alpha, cand.beta)
-        if cid not in reps:
-            reps[cid] = class_representative(cand.alpha, cand.beta)
+        rep = class_representative(cand.alpha, cand.beta)
+        reps.setdefault(_class_id(rep), rep)
+    family_ids = _family_ids(max_alpha)
     records = []
     for cid, rep in sorted(reps.items(), key=lambda kv: (kv[1].alpha,
                                                          kv[1].beta)):
+        fam = cid in family_ids
         try:
-            records.append(_pipeline(rep, margin))
+            records.append(_pipeline(rep, cid, fam, margin))
         except LfkError as err:
             # a broken record must not abort the sweep
             exp = even_expansion(rep)
             records.append(SweepRecord(
                 rep.alpha, rep.beta, exp.p, exp.q,
-                f"fail:{type(err).__name__}", "skipped", "skipped",
-                any(equivalent_to_family(rep, m)
-                    for m in family_links(rep.alpha)), cid))
+                f"fail:{type(err).__name__}", "skipped", "skipped", fam, cid))
     return records
 
 
 def classification_summary(records) -> dict:
     max_alpha = max((r.alpha for r in records), default=0)
     survivor_ids = {r.class_id for r in records if r.survivor}
-    family_ids = {class_id_of(m.alpha, m.beta)
-                  for m in family_links(max_alpha)}
+    family_ids = _family_ids(max_alpha)
     return {
         "classes": len(records),
         "survivors": sorted(survivor_ids),

@@ -1,10 +1,11 @@
 """Edge-labeled hypercubes and graded corner homology over GF(2).
 
 A labeling assigns 0 or 1 to every directed edge of {0,1}^n (edges point from
-eps to eps + e_j).  A labeling is valid when opposite paths around every
-square face carry equal label sums; valid labelings are exactly the ones
-realized by towers F[U] at the vertices with inclusion maps that either
-preserve or raise the top grading by 2.
+eps to eps + e_j).  A labeling is valid when it comes from vertex gradings:
+an even top grading at each vertex that every edge raises by twice its
+label.  Valid labelings are exactly the ones realized by towers F[U] at the
+vertices with inclusion maps that either preserve or raise the top grading
+by 2, and every invariant below is read off those gradings.
 
 The corner homology of such a configuration (the total homology of the
 iterated quotient at the far corner) is computed two independent ways:
@@ -149,20 +150,35 @@ class CubeLabeling:
         return f"CubeLabeling({self.n}; {body})"
 
 
+def vertex_gradings(cl: CubeLabeling, origin: int = 0) -> dict[Vertex, int]:
+    """Top grading at each vertex: origin plus twice the path label sum.
+
+    Raises InvalidLabeling when the sum depends on the path, that is, when
+    the labeling is not valid.
+    """
+    if origin % 2:
+        raise OddGrading("origin grading must be even")
+    g = {(0,) * cl.n: origin}
+    for v in sorted(vertices(cl.n), key=sum):
+        if v in g:
+            continue
+        vals = set()
+        for j in range(1, cl.n + 1):
+            if v[j - 1]:
+                src = v[:j - 1] + (0,) + v[j:]
+                vals.add(g[src] + 2 * cl.label(src, j))
+        if len(vals) != 1:
+            raise InvalidLabeling("labels violate square-face consistency")
+        g[v] = vals.pop()
+    return g
+
+
 def validate(cl: CubeLabeling) -> bool:
-    """Path-sum consistency on every square face (hence on all paths)."""
-    for v in vertices(cl.n):
-        for i in range(1, cl.n + 1):
-            if v[i - 1]:
-                continue
-            for j in range(i + 1, cl.n + 1):
-                if v[j - 1]:
-                    continue
-                vi = _head((v, i))
-                vj = _head((v, j))
-                if (cl.label(v, i) + cl.label(vi, j)
-                        != cl.label(v, j) + cl.label(vj, i)):
-                    return False
+    """Whether the labeling comes from vertex gradings."""
+    try:
+        vertex_gradings(cl)
+    except InvalidLabeling:
+        return False
     return True
 
 
@@ -181,38 +197,17 @@ def facet(cl: CubeLabeling, axis: int, side: int) -> CubeLabeling:
 
 
 def euler_char(cl: CubeLabeling) -> int:
-    """Euler characteristic of the corner, recursively over the first axis."""
-    if not validate(cl):
-        raise InvalidLabeling("labels violate square-face consistency")
-    return _euler(cl.key())
+    """Euler characteristic of the corner, read off the vertex gradings."""
+    g = vertex_gradings(cl)
+    return _euler(cl.n, tuple(g[v] for v in vertices(cl.n)))
 
 
 @lru_cache(maxsize=None)
-def _euler(key) -> int:
-    n, items = key
-    cl = CubeLabeling(n, dict(items))
-    if n == 1:
-        return cl.label((0,), 1)
-    return _euler(facet(cl, 1, 1).key()) - _euler(facet(cl, 1, 0).key())
-
-
-def vertex_gradings(cl: CubeLabeling, origin: int = 0) -> dict[Vertex, int]:
-    """Top grading at each vertex: origin plus twice the path label sum."""
-    if origin % 2:
-        raise OddGrading("origin grading must be even")
-    g = {(0,) * cl.n: origin}
-    for v in sorted(vertices(cl.n), key=sum):
-        if v in g:
-            continue
-        vals = set()
-        for j in range(1, cl.n + 1):
-            if v[j - 1]:
-                src = v[:j - 1] + (0,) + v[j:]
-                vals.add(g[src] + 2 * cl.label(src, j))
-        if len(vals) != 1:
-            raise InvalidLabeling("vertex grading is path-dependent")
-        g[v] = vals.pop()
-    return g
+def _euler(n: int, gkey: tuple) -> int:
+    """Half the signed sum of (-1)^(n + |eps|) g(eps) over the vertex
+    gradings gkey, listed in ``vertices`` order."""
+    return sum(x if (n + sum(v)) % 2 == 0 else -x
+               for v, x in zip(vertices(n), gkey)) // 2
 
 
 # -- GF(2) linear algebra on bitmask rows ------------------------------------
@@ -288,12 +283,8 @@ def corner_homology(cl: CubeLabeling, origin: int = 0) -> GradedVS:
     if cl.n >= 4:
         raise DimensionUnsupported(
             "corner homology is not determined by edge labels for n >= 4")
-    if origin % 2:
-        raise OddGrading("origin grading must be even")
-    if not validate(cl):
-        raise InvalidLabeling("labels violate square-face consistency")
-    g = vertex_gradings(cl, 0)
-    gkey = tuple(g[v] for v in vertices(cl.n))
+    g = vertex_gradings(cl, origin)
+    gkey = tuple(g[v] - origin for v in vertices(cl.n))
     return _corner_from_grading_key(cl.n, gkey).shifted(origin)
 
 
@@ -306,12 +297,6 @@ def oracle_corner_homology(cl: CubeLabeling, origin: int = 0) -> GradedVS:
     elimination over GF(2).  The window is widened until homology vanishes at
     its two lowest reliable gradings.
     """
-    if cl.n > 4:
-        raise DimensionUnsupported("oracle supports dimensions up to 4")
-    if origin % 2:
-        raise OddGrading("origin grading must be even")
-    if not validate(cl):
-        raise InvalidLabeling("labels violate square-face consistency")
     g = vertex_gradings(cl, origin)
     lo = origin - 2
     hi = origin + 2 * cl.n + 4
@@ -378,9 +363,12 @@ class Completion:
 def complete_subgraph(n: int, partial) -> Completion:
     """Extend labels given on all edges except those leaving the origin.
 
-    Either the extension is forced, or exactly the all-0 and all-1 origin
-    extensions are consistent; an inconsistent partial labeling raises
-    NoValidExtension.
+    The square face at the origin spanned by e_1 and e_j forces the label
+    b_j of the origin edge in direction j to be b_1 + L(e_1 -> e_1 + e_j)
+    - L(e_j -> e_1 + e_j), so only b_1 = 0 and b_1 = 1 are candidates.
+    Either the extension is forced, or both candidates are consistent, and
+    then they are the all-0 and all-1 origin extensions; an inconsistent
+    partial labeling raises NoValidExtension.
     """
     origin = (0,) * n
     origin_edges = [(origin, j) for j in range(1, n + 1)]
@@ -389,23 +377,22 @@ def complete_subgraph(n: int, partial) -> Completion:
     if set(got) != want:
         raise IncompleteLabels(
             "partial labeling must cover exactly the non-origin edges")
+    if any(val not in (0, 1) for val in got.values()):
+        raise ValueError("edge labels must be 0 or 1")
+    units = [_head(e) for e in origin_edges]
     found = []
-    for bits in itertools.product((0, 1), repeat=n):
-        full = dict(got)
-        for e, b in zip(origin_edges, bits):
-            full[e] = b
-        cand = CubeLabeling(n, full)
-        if validate(cand):
-            found.append((bits, cand))
+    for b1 in (0, 1):
+        bits = [b1] + [b1 + got[(units[0], j)] - got[(units[j - 1], 1)]
+                       for j in range(2, n + 1)]
+        if all(b in (0, 1) for b in bits):
+            cand = CubeLabeling(n, {**got, **dict(zip(origin_edges, bits))})
+            if validate(cand):
+                found.append(cand)
     if not found:
         raise NoValidExtension("no consistent completion exists")
     if len(found) == 1:
-        return Completion(unique=found[0][1])
-    bit_sets = {bits for bits, _ in found}
-    if bit_sets != {(0,) * n, (1,) * n}:
-        raise InvalidLabeling("completion set is neither forced nor a dichotomy")
-    by_bits = dict(found)
-    return Completion(dichotomy=(by_bits[(0,) * n], by_bits[(1,) * n]))
+        return Completion(unique=found[0])
+    return Completion(dichotomy=tuple(found))
 
 
 def enumerate_valid_labelings(n: int) -> list[CubeLabeling]:

@@ -28,18 +28,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cubes import (CubeLabeling, GradedVS, _corner_from_grading_key,
+from .cubes import (CubeLabeling, GradedVS, _corner_from_grading_key, _euler,
                     complete_subgraph, euler_char, vertices)
 from .errors import (AmbiguousSign, HypothesisNotMet, NotLSpaceLink,
                      RegionUnstable, UnsupportedComponents)
 from .laurent import MultiLaurent
 from .lspace import (LinkProfile, box_points, default_box, m_vector,
                      normalized_family, resolve_margin)
-
-
-def m_of(prof: LinkProfile) -> tuple[int, ...]:
-    """Stabilization corner of the lattice, in doubled coordinates."""
-    return m_vector(prof)
 
 
 def _hull(box1, box2):
@@ -90,6 +85,14 @@ class TGraph:
 
     def g_at(self, p2) -> int:
         return self.g[tuple(min(x, hi) for x, hi in zip(p2, self.store_hi))]
+
+    def cube_gradings(self, s2) -> tuple[int, tuple]:
+        """The origin grading of the unit cube at s2 (whose vertices must be
+        stored) and the gradings of its 2^l vertices relative to it, in
+        ``vertices`` order."""
+        gs = [self.g[tuple(x - 2 + 2 * e for x, e in zip(s2, eps))]
+              for eps in vertices(self.l)]
+        return gs[0], tuple(x - gs[0] for x in gs)
 
     def cube_at(self, s2) -> tuple[CubeLabeling, int]:
         """The unit-cube labeling at a lattice point plus its origin grading."""
@@ -250,16 +253,13 @@ def _build_multi(prof, user_box, margin, sweep_order) -> TGraph:
 
     # Every cube, the slab ones included, must have the Euler characteristic
     # of its coefficient in the normalized polynomial.
-    signs = [(-1) ** (l + sum(eps)) for eps in verts]
+    tg = TGraph(l, user_box, m2, g, prof, store_lo, store_hi)
     for s in box_points(tuple((lo - 2, hi) for lo, hi in user_box)):
-        chi = sum(sg * g[tuple(x - 2 + 2 * e for x, e in zip(s, eps))]
-                  for sg, eps in zip(signs, verts)) // 2
+        chi = _euler(l, tg.cube_gradings(s)[1])
         if chi != p0.coeff(s):
             raise NotLSpaceLink(
                 f"cube at {s} has Euler characteristic {chi}, "
                 f"need coefficient {p0.coeff(s)}")
-
-    tg = TGraph(l, user_box, m2, g, prof, store_lo, store_hi)
     _verify_bottom_stability(tg)
     return tg
 
@@ -296,12 +296,18 @@ class HFLTable:
         return self.tgraph.box
 
     def entry(self, s2) -> GradedVS:
+        """The group at a lattice point: tabulated over the box and 0 beyond
+        the corner; other points raise ValueError."""
         s2 = tuple(s2)
         if s2 in self.table:
             return self.table[s2]
+        if len(s2) != len(self.box) or any(
+                (x - lo) % 2 for x, (lo, _) in zip(s2, self.box)):
+            raise ValueError(f"{s2} is not a point of the lattice of the "
+                             f"box {self.box}")
         if any(x >= m + 2 for x, m in zip(s2, self.tgraph.m2)):
             return GradedVS.zero()
-        raise KeyError(f"{s2} is below the tabulated box")
+        raise ValueError(f"{s2} is below the tabulated box")
 
     def euler_series(self) -> MultiLaurent:
         """The generating polynomial of Euler characteristics over the box."""
@@ -325,13 +331,10 @@ class HFLTable:
 def _corner_table(tg: TGraph) -> dict:
     """Corner homology of each box point's unit cube, read off the gradings
     of its 2^l vertices."""
-    verts = vertices(tg.l)
     out = {}
     for s in box_points(tg.box):
-        gs = [tg.g_at(tuple(x - 2 + 2 * e for x, e in zip(s, eps)))
-              for eps in verts]
-        rel = tuple(x - gs[0] for x in gs)
-        out[s] = _corner_from_grading_key(tg.l, rel).shifted(gs[0])
+        origin, rel = tg.cube_gradings(s)
+        out[s] = _corner_from_grading_key(tg.l, rel).shifted(origin)
     return out
 
 
@@ -349,15 +352,13 @@ def hfl_hat(table: HFLTable, s2) -> GradedVS:
     point to vanish; otherwise raises HypothesisNotMet with the offending
     offset.
     """
-    l = table.tgraph.l
     s2 = tuple(s2)
-    for eps in vertices(l):
-        if eps == (0,) * l:
-            continue
+    here = table.entry(s2)
+    for eps in vertices(table.tgraph.l)[1:]:
         t = tuple(x + 2 * e for x, e in zip(s2, eps))
         if not table.entry(t).is_zero():
             raise HypothesisNotMet(eps)
-    return table.entry(s2)
+    return here
 
 
 @dataclass(frozen=True)

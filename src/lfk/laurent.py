@@ -349,12 +349,6 @@ class TailPoly:
             return 0
         return sum(c for (j2,), c in self.numer.terms.items() if j2 >= e2)
 
-    def max_nonzero_exp2(self):
-        """Largest doubled exponent with a nonzero coefficient; None if zero."""
-        if self.numer.is_zero():
-            return None
-        return self.numer.max_exp2(1)
-
     def __repr__(self):
         return f"TailPoly(u{self.var}; numer={self.numer!r})"
 

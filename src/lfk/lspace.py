@@ -403,6 +403,8 @@ def theorem_alex_check(prof: LinkProfile, box=None, margin: int = 2) -> TheoremR
     fam = normalized_family(prof)
     if box is None:
         box = default_box(prof, margin)
+    if any(lo > hi for lo, hi in box):
+        raise ValueError(f"box {box} has an axis with lo > hi")
     l = prof.l
 
     @cache      # face points and their outward neighbours are reused

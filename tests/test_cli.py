@@ -142,6 +142,17 @@ def test_expansion_input_matches_ab(capsys):
         assert "error" in capsys.readouterr().err
 
 
+def test_hat_point_off_the_table_is_a_usage_error(capsys):
+    # wrong length, off the lattice, below the box
+    for hat in ("4", "3,4", "-100,-100"):
+        assert main(["hfl", "--ab", "20", "-3", f"--hat={hat}"]) == 1, hat
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: "), hat
+        assert captured.out == "", hat
+    assert main(["hfl", "--ab", "20", "-3", "--hat=4,4"]) == 0
+    assert json.loads(capsys.readouterr().out)["hat"]["s2"] == [4, 4]
+
+
 def test_equivalence_orbit_and_representative():
     orbit = equivalence_orbit(20, -3)
     assert orbit == {37, 13, 17, 33}

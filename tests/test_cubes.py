@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -21,9 +22,48 @@ def vs(*pairs):
     return GradedVS(tuple(sorted(pairs)))
 
 
+def up(v, j):
+    return v[:j - 1] + (1,) + v[j:]
+
+
+def faces_agree(cl):
+    """Opposite paths around every square face carry equal label sums."""
+    for v, i in edges(cl.n):
+        for j in range(i + 1, cl.n + 1):
+            if not v[j - 1] and (cl.label(v, i) + cl.label(up(v, i), j)
+                                 != cl.label(v, j) + cl.label(up(v, j), i)):
+                return False
+    return True
+
+
+def labelings_from_gradings(n):
+    """Every labeling of the n-cube that comes from integer heights h with
+    h(0) = 0 rising by 0 or 1 along each edge; the label is the rise."""
+    verts = sorted(itertools.product((0, 1), repeat=n), key=sum)
+
+    def extend(h, k):
+        if k == len(verts):
+            yield CubeLabeling(n, {(v, j): h[up(v, j)] - h[v]
+                                   for v, j in edges(n)})
+            return
+        v = verts[k]
+        lower = [h[v[:j] + (0,) + v[j + 1:]] for j in range(n) if v[j]]
+        for x in (range(max(lower), min(lower) + 2) if lower else (0,)):
+            yield from extend({**h, v: x}, k + 1)
+
+    yield from extend({}, 0)
+
+
 def test_validate_examples():
     assert validate(square(0, 1, 1, 0))
     assert not validate(square(0, 0, 1, 0))
+    for n in (1, 2, 3):
+        es = edges(n)
+        for bits in itertools.product((0, 1), repeat=len(es)):
+            cl = CubeLabeling(n, dict(zip(es, bits)))
+            assert validate(cl) == faces_agree(cl), cl
+        assert (set(labelings_from_gradings(n))
+                == set(enumerate_valid_labelings(n)))
 
 
 def test_valid_count_n2():
@@ -61,6 +101,12 @@ def test_euler_matches_homology():
     for n in (1, 2, 3):
         for cl in enumerate_valid_labelings(n):
             assert corner_homology(cl, 0).euler() == euler_char(cl)
+    # For n = 4 the labels do not determine the homology, but they do
+    # determine its Euler characteristic, which the oracle also computes.
+    four = list(labelings_from_gradings(4))
+    assert len(four) == 990
+    for cl in four:
+        assert oracle_corner_homology(cl, 0).euler() == euler_char(cl), cl
 
 
 def test_corner_homology_single_edge():
@@ -165,24 +211,35 @@ def test_complete_subgraph_inconsistent():
 
 
 def test_complete_subgraph_matches_enumeration():
-    # Independent brute force over all extensions of every valid labeling.
-    import itertools
-    for n in (2, 3):
-        for cl in enumerate_valid_labelings(n):
-            partial = {e: v for e, v in cl.labels.items() if e[0] != (0,) * n}
+    # Independent brute force over all 2^n origin extensions of every
+    # partial labeling, checked face by face; labels -1 and 2 (for n <= 2)
+    # are refused outright.
+    for n, values in ((1, ()), (2, (-1, 0, 1, 2)), (3, (0, 1))):
+        origin = (0,) * n
+        rest = [e for e in edges(n) if e[0] != origin]
+        for vals in itertools.product(values, repeat=len(rest)):
+            partial = dict(zip(rest, vals))
+            if any(x not in (0, 1) for x in vals):
+                with pytest.raises(ValueError, match="must be 0 or 1"):
+                    complete_subgraph(n, partial)
+                continue
             found = []
             for bits in itertools.product((0, 1), repeat=n):
                 full = dict(partial)
                 for j, b in enumerate(bits, start=1):
-                    full[((0,) * n, j)] = b
+                    full[(origin, j)] = b
                 cand = CubeLabeling(n, full)
-                if validate(cand):
+                if faces_agree(cand):
                     found.append(cand)
+            if not found:
+                with pytest.raises(NoValidExtension):
+                    complete_subgraph(n, partial)
+                continue
             comp = complete_subgraph(n, partial)
             if comp.is_unique:
                 assert found == [comp.unique]
             else:
-                assert set(found) == set(comp.dichotomy)
+                assert found == list(comp.dichotomy)
 
 
 def test_graded_vs_arithmetic():

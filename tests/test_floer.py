@@ -7,11 +7,11 @@ from lfk.cli import family_links
 from lfk.cubes import GradedVS, corner_homology
 from lfk.errors import HypothesisNotMet, NotLSpaceLink, UnsupportedComponents
 from lfk.floer import (alternating_cross_check, build_tgraph, hfl_hat,
-                       hfl_minus, m_of)
+                       hfl_minus)
 from lfk.laurent import MultiLaurent
-from lfk.lspace import (box_points, cor_alex2_check, normalized_family,
-                        theorem_sum, two_bridge_profile, unknot_profile,
-                        unlink_profile)
+from lfk.lspace import (box_points, cor_alex2_check, m_vector,
+                        normalized_family, theorem_sum, two_bridge_profile,
+                        unknot_profile, unlink_profile)
 
 
 def vs(*pairs):
@@ -26,9 +26,9 @@ def fixed_profile(alpha, beta):
 
 
 def test_m_of_examples():
-    assert m_of(unknot_profile()) == (0,)
-    assert m_of(fixed_profile(20, -3)) == (4, 4)
-    assert m_of(two_bridge_profile(TwoBridge(6, 1))) == (3, 3)
+    assert m_vector(unknot_profile()) == (0,)
+    assert m_vector(fixed_profile(20, -3)) == (4, 4)
+    assert m_vector(two_bridge_profile(TwoBridge(6, 1))) == (3, 3)
 
 
 def test_unknot_tgraph_and_table():
@@ -222,7 +222,7 @@ def test_three_component_unlink():
     tg = build_tgraph(prof)
     table = hfl_minus(prof, tg)
     _assert_cube_route(table)
-    assert m_of(prof) == (0, 0, 0)
+    assert m_vector(prof) == (0, 0, 0)
     for s, v in table.table.items():
         assert v.euler() == 0
         # full symmetry under coordinate permutations

@@ -120,6 +120,16 @@ def test_theorem_check_box_edge_off_the_lattice():
         theorem_alex_check(prof, box=((-8, 3), (-8, 8)))
 
 
+def test_theorem_check_refuses_inverted_box():
+    # An axis with lo > hi has no points; the check refuses it instead of
+    # checking nothing and then comparing faces outward.
+    prof = b20_profile()
+    for box in (((4, 0), (0, 2)), ((0, 2), (2, 0))):
+        with pytest.raises(ValueError, match="lo > hi"):
+            theorem_alex_check(prof, box=box)
+    assert theorem_alex_check(prof, box=((-8, 8), (8, 8))).ok
+
+
 def test_cor_check_b20():
     prof = two_bridge_profile(TwoBridge(20, -3))
     rep = cor_alex2_check(prof)
