@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import os
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cache
 
 from .bridge import (TwoBridge, alexander, even_expansion, linking_number)
 from .errors import CosetViolation, RegionUnstable
@@ -153,14 +155,31 @@ class LinkProfile:
 
     @staticmethod
     def from_json(data) -> LinkProfile:
+        """Read a profile from its JSON form.  A missing or malformed field
+        raises ValueError naming it."""
         if isinstance(data, str):
             data = json.loads(data)
-        delta = {frozenset(int(ch) for ch in key): MultiLaurent.from_json(val)
-                 for key, val in data["delta"].items()}
-        signs = {frozenset(int(ch) for ch in key): val
-                 for key, val in data.get("signs", {}).items()}
-        return LinkProfile(data["l"], tuple(tuple(r) for r in data["lk"]),
-                           delta, signs)
+        if not isinstance(data, dict):
+            raise ValueError("a link profile must be a JSON object")
+
+        def read(name, parse, default=None):
+            if name not in data and default is None:
+                raise ValueError(f"link profile lacks the field {name!r}")
+            try:
+                return parse(data.get(name, default))
+            except (TypeError, ValueError, KeyError, AttributeError) as err:
+                raise ValueError(
+                    f"link profile field {name!r} is malformed: {err!r}") from err
+
+        def subset_map(parse_val):
+            return lambda d: {frozenset(int(ch) for ch in key): parse_val(val)
+                              for key, val in d.items()}
+
+        return LinkProfile(
+            read("l", operator.index),
+            read("lk", lambda v: tuple(tuple(int(x) for x in row) for row in v)),
+            read("delta", subset_map(MultiLaurent.from_json)),
+            read("signs", subset_map(lambda flag: flag), default={}))
 
 
 # -- profile constructors -------------------------------------------------------
@@ -300,6 +319,63 @@ def theorem_sum(fam: NormalizedFamily, point2, r: int) -> int:
     return total
 
 
+def theorem_field(fam: NormalizedFamily, grid) -> dict:
+    """Every theorem sum over a grid, in one pass: {(point2, r): value}.
+
+    grid holds one sorted list of doubled values per axis; the points are
+    their product.  Each entry's region sums come from running sums taken
+    from the top along each direction other than r, after its terms are
+    bucketed by their exact exponent in direction r and by the last grid
+    value at or below their exponent in every other direction.  A tail
+    entry contributes its coefficient once per grid value.  The value at
+    each point equals theorem_sum(fam, point2, r).
+    """
+    l = fam.l
+    points = list(itertools.product(*grid))
+    values = {}
+    for r in range(1, l + 1):
+        terms = []
+        for s in subsets_of(l, proper=True):
+            if r in s:
+                continue
+            comp = [j for j in range(1, l + 1) if j not in s]
+            sign = (-1) ** (l - 1 - len(s))
+            sums = _region_sums(fam.entries[s], comp, r, grid)
+            key = operator.itemgetter(*[j - 1 for j in comp])
+            terms.append([sign * sums.get(key(p), 0) for p in points])
+        values.update(zip([(p, r) for p in points], map(sum, zip(*terms))))
+    return values
+
+
+def _region_sums(entry, comp, r, grid) -> dict:
+    """r_sum of one family entry at every grid point, keyed by the point's
+    coordinates on comp (the components outside S, ascending): a tuple, or
+    a bare value for a tail."""
+    if isinstance(entry, TailPoly):
+        return {x: entry.coeff(x) for x in grid[r - 1]}
+    others = [(pos, grid[j - 1]) for pos, j in enumerate(comp) if j != r]
+    sums = defaultdict(int)
+    for e2, c in entry.terms.items():
+        key = list(e2)
+        for pos, vals in others:
+            k = bisect_right(vals, e2[pos]) - 1
+            if k < 0:
+                break           # below the grid: dominates no grid point
+            key[pos] = vals[k]
+        else:
+            sums[tuple(key)] += c
+    for pos, vals in others:
+        running = {}
+        for line in {key[:pos] + key[pos + 1:] for key in sums}:
+            total = 0
+            for x in reversed(vals):
+                key = line[:pos] + (x,) + line[pos:]
+                total += sums.get(key, 0)
+                running[key] = total
+        sums = running
+    return sums
+
+
 # -- boxes ----------------------------------------------------------------------
 
 
@@ -310,12 +386,16 @@ def m_vector(prof: LinkProfile) -> tuple[int, ...]:
     is the maximum of the top degree of the normalized full polynomial and
     of the sublink values shifted by half linking numbers.
     """
+    return _m_vector(prof, normalized_family(prof) if prof.l > 1 else None)
+
+
+def _m_vector(prof: LinkProfile, fam) -> tuple[int, ...]:
+    """m_vector given the profile's normalized family, which a knot skips."""
     if prof.l == 1:
         d = prof.delta[frozenset({1})]
         if d.is_zero():
             raise ValueError("a knot profile needs a nonzero Alexander polynomial")
         return (d.max_exp2(1),)
-    fam = normalized_family(prof)
     p0 = fam.p_empty
     out = []
     for i in range(1, prof.l + 1):
@@ -344,10 +424,14 @@ def resolve_margin(margin: int | None = None) -> int:
 
 def default_box(prof: LinkProfile, margin: int = 2):
     """Per-coordinate doubled ranges [lo2, hi2] on the lattice cosets."""
+    return _default_box(prof, margin, normalized_family(prof))
+
+
+def _default_box(prof: LinkProfile, margin: int, fam: NormalizedFamily):
+    """default_box given the profile's normalized family."""
     if margin < 2:
         raise ValueError("box margin must be at least 2")
-    m2 = m_vector(prof)
-    fam = normalized_family(prof)
+    m2 = _m_vector(prof, fam)
     p0 = fam.p_empty
     los, his = [], []
     for i in range(1, prof.l + 1):
@@ -398,21 +482,20 @@ def theorem_alex_check(prof: LinkProfile, box=None, margin: int = 2) -> TheoremR
     Every lattice point and every direction must give a value of 0 or 1.
     Values on the box boundary are compared with their outward neighbors;
     disagreement raises RegionUnstable since the box then failed to capture
-    the stable behavior.
+    the stable behavior.  All values come from one theorem_field pass over
+    the box grown by one step, on one normalized family.
     """
     fam = normalized_family(prof)
     if box is None:
-        box = default_box(prof, margin)
+        box = _default_box(prof, margin, fam)
     if any(lo > hi for lo, hi in box):
         raise ValueError(f"box {box} has an axis with lo > hi")
     l = prof.l
-
-    @cache      # face points and their outward neighbours are reused
-    def val(p, r):
-        return theorem_sum(fam, p, r)
-
-    violations = [(p, r, val(p, r)) for p in box_points(box)
-                  for r in range(1, l + 1) if val(p, r) not in (0, 1)]
+    # The box, its outward neighbours, and an upper edge off the lo coset.
+    val = theorem_field(fam, [sorted({lo - 2, *range(lo, hi + 1, 2), hi, hi + 2})
+                              for lo, hi in box])
+    violations = [(p, r, val[p, r]) for p in box_points(box)
+                  for r in range(1, l + 1) if val[p, r] not in (0, 1)]
     for axis in range(l):
         for side, step in ((0, -2), (1, 2)):
             edge = box[axis][side]
@@ -422,7 +505,7 @@ def theorem_alex_check(prof: LinkProfile, box=None, margin: int = 2) -> TheoremR
                 outward = tuple(x + step if k == axis else x
                                 for k, x in enumerate(point))
                 for r in range(1, l + 1):
-                    if val(point, r) != val(outward, r):
+                    if val[point, r] != val[outward, r]:
                         raise RegionUnstable(
                             f"value changes stepping outward at {point} "
                             f"(direction {r}); enlarge the margin")

@@ -1,6 +1,7 @@
 import random
 
 from lfk.laurent import MultiLaurent
+from lfk.lspace import LinkProfile
 
 
 def rand_poly(rng: random.Random, nvars=2, max_terms=8, span=4, parity=None):
@@ -22,3 +23,20 @@ def rand_nonzero(rng, **kw):
         p = rand_poly(rng, **kw)
         if not p.is_zero():
             return p
+
+
+def split_union_with_unknot(pair_profile):
+    """A two-component profile plus a distant, unlinked unknot."""
+    one1 = MultiLaurent.const(1, 1)
+    lk12 = pair_profile.lkval(1, 2)
+    return LinkProfile(
+        3,
+        ((0, lk12, 0), (lk12, 0, 0), (0, 0, 0)),
+        {frozenset({1}): one1, frozenset({2}): one1, frozenset({3}): one1,
+         frozenset({1, 2}): pair_profile.delta[pair_profile.full()],
+         frozenset({1, 3}): MultiLaurent.zero(2),
+         frozenset({2, 3}): MultiLaurent.zero(2),
+         frozenset({1, 2, 3}): MultiLaurent.zero(3)},
+        {m: "+" for m in
+         (frozenset({1}), frozenset({2}), frozenset({3}), frozenset({1, 2}),
+          frozenset({1, 3}), frozenset({2, 3}), frozenset({1, 2, 3}))})

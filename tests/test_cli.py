@@ -66,6 +66,21 @@ def test_check_profile_file(tmp_path):
     assert rc == 0 and json.loads(out)["ok"]
 
 
+def test_malformed_profile_is_a_usage_error(tmp_path, capsys):
+    # each payload with the text the error must name
+    payloads = {"{}": "'l'", '{"l": 2}': "'lk'", "[1]": "JSON object",
+                '{"l": 2, "lk": [[0, 1], [1, 0]], "delta": {"1": 5}}':
+                    "'delta'"}
+    for i, (text, name) in enumerate(payloads.items()):
+        path = tmp_path / f"prof{i}.json"
+        path.write_text(text)
+        for cmd in ("check", "tgraph", "hfl"):
+            assert main([cmd, "--profile", str(path)]) == 1, (cmd, text)
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: "), (cmd, text)
+            assert name in captured.err and captured.out == "", (cmd, text)
+
+
 def test_cube_subcommand():
     rc, out, _ = run_cli("cube", "--n", "2", "--labels", "all1", "--origin", "0")
     assert rc == 0

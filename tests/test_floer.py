@@ -2,13 +2,13 @@ import math
 
 import pytest
 
+from conftest import split_union_with_unknot
 from lfk.bridge import TwoBridge, signature
 from lfk.cli import family_links
 from lfk.cubes import GradedVS, corner_homology
 from lfk.errors import HypothesisNotMet, NotLSpaceLink, UnsupportedComponents
 from lfk.floer import (alternating_cross_check, build_tgraph, hfl_hat,
                        hfl_minus)
-from lfk.laurent import MultiLaurent
 from lfk.lspace import (box_points, cor_alex2_check, m_vector,
                         normalized_family, theorem_sum, two_bridge_profile,
                         unknot_profile, unlink_profile)
@@ -191,30 +191,13 @@ def test_three_component_split_union_factors():
     extra = GradedVS(((0, 1), (-1, 1)))
     for alpha, beta in ((2, -1), (20, -3), (14, -5)):
         pair = fixed_profile(alpha, beta)
-        table = hfl_minus(_split_union_with_unknot(pair))
+        table = hfl_minus(split_union_with_unknot(pair))
         _assert_cube_route(table)
         h_table = hfl_minus(pair, build_tgraph(pair, box=table.box[:2]))
         for s in box_points(table.box):
             u = GradedVS(((s[2], 1),)) if s[2] <= 0 else GradedVS.zero()
             want = tensor(tensor(h_table.entry((s[0], s[1])), u), extra)
             assert table.entry(s) == want, (alpha, beta, s)
-
-
-def _split_union_with_unknot(pair_profile):
-    from lfk.lspace import LinkProfile
-    one1 = MultiLaurent.const(1, 1)
-    lk12 = pair_profile.lkval(1, 2)
-    return LinkProfile(
-        3,
-        ((0, lk12, 0), (lk12, 0, 0), (0, 0, 0)),
-        {frozenset({1}): one1, frozenset({2}): one1, frozenset({3}): one1,
-         frozenset({1, 2}): pair_profile.delta[pair_profile.full()],
-         frozenset({1, 3}): MultiLaurent.zero(2),
-         frozenset({2, 3}): MultiLaurent.zero(2),
-         frozenset({1, 2, 3}): MultiLaurent.zero(3)},
-        {m: "+" for m in
-         (frozenset({1}), frozenset({2}), frozenset({3}), frozenset({1, 2}),
-          frozenset({1, 3}), frozenset({2, 3}), frozenset({1, 2, 3}))})
 
 
 def test_three_component_unlink():
@@ -236,7 +219,7 @@ def test_theorem_sums_are_lattice_labels():
     # to the labels that does not pass through the lattice graph.
     profiles = [fixed_profile(m.alpha, m.beta) for m in family_links(40)]
     profiles += [unlink_profile(3),
-                 _split_union_with_unknot(fixed_profile(20, -3))]
+                 split_union_with_unknot(fixed_profile(20, -3))]
     for prof in profiles:
         tg = build_tgraph(prof)
         fam = normalized_family(prof)

@@ -1,16 +1,18 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+from conftest import split_union_with_unknot
 from lfk.bridge import TwoBridge
 from lfk.errors import CosetViolation, RegionUnstable
 from lfk.laurent import MultiLaurent, TailPoly
 from lfk.lspace import (LinkProfile, box_points, cor_alex2_check, default_box,
                         m_vector, normalized_family, r_sum, theorem_alex_check,
-                        theorem_sum, two_bridge_profile, unknot_profile,
-                        unlink_profile)
+                        theorem_field, theorem_sum, two_bridge_profile,
+                        unknot_profile, unlink_profile)
 
 B20_P_EMPTY = MultiLaurent(2, {
     (2, 4): 1, (4, 2): 1, (2, 0): 1, (0, 2): 1, (-2, 0): 1, (0, -2): 1,
@@ -130,6 +132,46 @@ def test_theorem_check_refuses_inverted_box():
     assert theorem_alex_check(prof, box=((-8, 8), (8, 8))).ok
 
 
+def _two_bridge_pairs(max_alpha):
+    for alpha in range(2, max_alpha + 1, 2):
+        for beta in range(-alpha + 1, alpha, 2):
+            if math.gcd(alpha, beta) == 1:
+                yield alpha, beta
+
+
+def test_theorem_field_matches_pointwise_sums():
+    cases = [(unknot_profile(), None), (unlink_profile(2), None),
+             (unlink_profile(3), None),
+             (split_union_with_unknot(b20_profile()), None)]
+    cases += [(b20_profile(), box) for box in
+              (((-8, 9), (-8, 8)), ((-8, 3), (-8, 8)), ((-8, 8), (8, 8)))]
+    for alpha, beta in _two_bridge_pairs(30):
+        prof = two_bridge_profile(TwoBridge(alpha, beta))
+        cases += [(prof.with_signs({prof.full(): s}), None) for s in (1, -1)]
+    for prof, box in cases:
+        fam = normalized_family(prof)
+        # the grid the check reads: box, outward neighbours, upper edge
+        grid = [sorted({lo - 2, *range(lo, hi + 1, 2), hi, hi + 2})
+                for lo, hi in box or default_box(prof)]
+        values = theorem_field(fam, grid)
+        assert len(values) == math.prod(map(len, grid)) * prof.l
+        for (p, r), v in values.items():
+            assert v == theorem_sum(fam, p, r), (prof.to_json(), p, r)
+
+
+def test_theorem_check_screening_matches_reference():
+    # The passing (alpha, beta, sign) triples recorded for the benchmark.
+    ref = Path(__file__).parents[1] / "bench" / "reference" / "obstruct60.json"
+    want = {tuple(x) for x in json.loads(ref.read_text())["passing"]}
+    passing = set()
+    for alpha, beta in _two_bridge_pairs(60):
+        prof = two_bridge_profile(TwoBridge(alpha, beta))
+        passing |= {(alpha, beta, s) for s in (1, -1) if theorem_alex_check(
+            prof.with_signs({prof.full(): s})).ok}
+    assert len(want) == 274
+    assert passing == want
+
+
 def test_cor_check_b20():
     prof = two_bridge_profile(TwoBridge(20, -3))
     rep = cor_alex2_check(prof)
@@ -160,14 +202,11 @@ def test_cor_flipped_component_sign_fails():
 
 
 def test_theorem_iff_cor_on_two_bridge_links():
-    for alpha in range(2, 41, 2):
-        for beta in range(-alpha + 1, alpha, 2):
-            if math.gcd(alpha, beta) != 1:
-                continue
-            prof = two_bridge_profile(TwoBridge(alpha, beta))
-            for s in (1, -1):
-                ps = prof.with_signs({prof.full(): s})
-                assert cor_alex2_check(ps).ok == theorem_alex_check(ps).ok
+    for alpha, beta in _two_bridge_pairs(40):
+        prof = two_bridge_profile(TwoBridge(alpha, beta))
+        for s in (1, -1):
+            ps = prof.with_signs({prof.full(): s})
+            assert cor_alex2_check(ps).ok == theorem_alex_check(ps).ok
 
 
 def test_at_most_one_sign_passes():
