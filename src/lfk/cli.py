@@ -246,13 +246,14 @@ def _resolve_two_bridge_sign(prof: LinkProfile) -> tuple[LinkProfile, CorReport]
 
 
 def _add_link_args(sub, profile_ok=True):
-    sub.add_argument("--ab", nargs=2, type=int, metavar=("ALPHA", "BETA"),
-                     help="two-bridge link b(ALPHA, BETA)")
-    sub.add_argument("--exp", type=str, default=None,
-                     help="interleaved expansion p1,q1,p2,...,pn")
+    inputs = sub.add_mutually_exclusive_group()
+    inputs.add_argument("--ab", nargs=2, type=int, metavar=("ALPHA", "BETA"),
+                        help="two-bridge link b(ALPHA, BETA)")
+    inputs.add_argument("--exp", type=str, default=None,
+                        help="interleaved expansion p1,q1,p2,...,pn")
     if profile_ok:
-        sub.add_argument("--profile", type=str, default=None,
-                         help="path to a link profile JSON file")
+        inputs.add_argument("--profile", type=str, default=None,
+                            help="path to a link profile JSON file")
 
 
 def _expansion_from(args):

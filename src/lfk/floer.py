@@ -5,17 +5,18 @@ tower, normalized to 0 in the stable region (g = -2H for the H-function of
 an L-space link).  g is the one stored field: the label of the edge into s
 in direction j is read off it as (g(s) - g(s - e_j)) / 2, which is 0 when
 the inclusion of sublevel complexes is an isomorphism and 1 when it drops a
-tower step.  The field is built in one downward pass:
+tower step.  The field is built from the link's normalized family alone,
+in one downward pass per sublink, all in the link's coordinates:
 
 * on each slab s_i >= m_i beyond the stabilization corner m(L), g repeats
-  the field of the sublink with component i removed, translated by half
-  linking numbers; where two slabs overlap they must agree;
+  the field of the sublink with component i removed, which is built the
+  same way from its own family entry; a single component's field is read
+  off its tail;
 * inside, the cube at s is completed from the gradings of its other
   vertices; the unique completion, or the all-0/all-1 branch whose Euler
   characteristic matches the coefficient of the normalized polynomial at s,
   fixes g(s - 1);
-* afterwards every cube's Euler characteristic is checked against that
-  coefficient, and the labels one step below the box must repeat.
+* afterwards the labels one step below the box must repeat.
 
 The construction refuses inputs for which no consistent field exists: such
 inputs cannot be L-space links.  The homology table assigns to each lattice
@@ -28,17 +29,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cubes import (CubeLabeling, GradedVS, _corner_from_grading_key, _euler,
+from .cubes import (CubeLabeling, GradedVS, _corner_from_grading_key,
                     complete_subgraph, euler_char, vertices)
 from .errors import (AmbiguousSign, HypothesisNotMet, NotLSpaceLink,
                      RegionUnstable, UnsupportedComponents)
-from .laurent import MultiLaurent
-from .lspace import (LinkProfile, box_points, default_box, m_vector,
-                     normalized_family, resolve_margin)
-
-
-def _hull(box1, box2):
-    return tuple((min(a, c), max(b, d)) for (a, b), (c, d) in zip(box1, box2))
+from .laurent import MultiLaurent, TailPoly
+from .lspace import (LinkProfile, _box, _checked_box, _corner, _hull,
+                     box_points, normalized_family, resolve_margin)
 
 
 @dataclass(frozen=True)
@@ -69,17 +66,12 @@ class TGraph:
         q = [min(max(x, lo), hi)
              for x, lo, hi in zip(p2, self.store_lo, self.store_hi)]
         q[j - 1] = max(q[j - 1], self.store_lo[j - 1] + 2)
-        return self._g_step(tuple(q), j)
-
-    def _g_step(self, p2, j: int) -> int:
-        """Half the g difference across the edge entering p2 in direction j."""
-        down = p2[:j - 1] + (p2[j - 1] - 2,) + p2[j:]
-        return (self.g[p2] - self.g[down]) // 2
+        return _g_step(self.g, tuple(q), j)
 
     @property
     def labels(self) -> dict:
         """Edge labels of the stored region as g differences, keyed (p2, j)."""
-        return {(p, j): self._g_step(p, j)
+        return {(p, j): _g_step(self.g, p, j)
                 for p in sorted(self.g) for j in range(1, self.l + 1)
                 if p[j - 1] > self.store_lo[j - 1]}
 
@@ -127,11 +119,13 @@ def build_tgraph(prof: LinkProfile, box=None, margin=None,
     Sign flags marked "auto" are resolved by trying every assignment: the
     builds that succeed must all induce the same homology table, which is
     then the answer; disagreement raises AmbiguousSign and total failure
-    raises NotLSpaceLink.
+    raises NotLSpaceLink.  An explicit box needs one range per component.
     """
     if prof.l > 3:
         raise UnsupportedComponents("only 1, 2 or 3 components are supported")
     margin = resolve_margin(margin)
+    if box:
+        box = _checked_box(prof, box)
     autos = prof.auto_subsets()
     if not autos:
         return _build_resolved(prof, box, margin, sweep_order)
@@ -154,63 +148,63 @@ def build_tgraph(prof: LinkProfile, box=None, margin=None,
 
 
 def _build_resolved(prof, box, margin, sweep_order) -> TGraph:
-    natural = default_box(prof, margin)
-    user_box = _hull(natural, tuple(tuple(b) for b in box)) if box else natural
-    if prof.l == 1:
-        return _build_knot(prof, user_box)
-    return _build_multi(prof, user_box, margin, sweep_order)
+    fam = normalized_family(prof)
+    natural = _box(fam, frozenset(), margin)
+    user_box = _hull(natural, box) if box else natural
+    g = _field(fam, frozenset(), user_box, margin, sweep_order)
+    return TGraph(prof.l, user_box, _corner(fam, frozenset()), g, prof,
+                  tuple(lo - 4 for lo, _ in user_box),
+                  tuple(hi for _, hi in user_box))
 
 
-def _build_knot(prof, user_box) -> TGraph:
-    (lo, hi), = user_box
-    tail = normalized_family(prof).p_empty
-    for p in range(lo - 4, hi + 1, 2):
-        a = tail.coeff(p)
-        if a not in (0, 1):
-            raise NotLSpaceLink(
-                f"normalized coefficient {a} at exponent {p}/2; "
-                "not an L-space knot profile (or wrong sign)")
-    if tail.coeff(lo - 2) != tail.coeff(lo):
-        raise RegionUnstable("labels not yet periodic at the box bottom")
-    # The label entering p is the tail coefficient at p, and g is 0 at hi.
-    g = {(hi,): 0}
-    for p in range(hi - 2, lo - 5, -2):
-        g[(p,)] = g[(p + 2,)] - 2 * tail.coeff(p + 2)
-    return TGraph(1, user_box, m_vector(prof), g, prof, (lo - 4,), (hi,))
+def _field(fam, s_set, box, margin, sweep_order) -> dict:
+    """g of the sublink L - S over its box and two steps below it, keyed by
+    points on the components outside S in the link's coordinates; fam[S]
+    gives the Euler characteristics of its cubes."""
+    p0 = fam[s_set]
+    if isinstance(p0, TailPoly):
+        # One component remains: the label entering p is the tail
+        # coefficient at p, and g is 0 at the top of the box.  The box
+        # reaches below the tail's numerator, where the labels are constant.
+        (lo, hi), = box
+        for p in range(lo - 4, hi + 1, 2):
+            a = p0.coeff(p)
+            if a not in (0, 1):
+                raise NotLSpaceLink(
+                    f"normalized coefficient {a} at exponent {p}/2; "
+                    "not an L-space knot profile (or wrong sign)")
+        g = {(hi,): 0}
+        for p in range(hi - 2, lo - 5, -2):
+            g[(p,)] = g[(p + 2,)] - 2 * p0.coeff(p + 2)
+        return g
 
-
-def _build_multi(prof, user_box, margin, sweep_order) -> TGraph:
-    l = prof.l
-    p0 = normalized_family(prof).p_empty
-    m2 = m_vector(prof)
-    store_lo = tuple(lo - 4 for lo, _ in user_box)
-    store_hi = tuple(hi for _, hi in user_box)
-    rect = tuple(zip(store_lo, store_hi))
-
-    subs = {}
-    for i in range(1, l + 1):
-        keep = sorted(set(range(1, l + 1)) - {i})
-        sub_prof = prof.sub_profile(frozenset(keep))
-        req = tuple((store_lo[k - 1] - prof.lkval(k, i),
-                     store_hi[k - 1] - prof.lkval(k, i)) for k in keep)
-        subs[i] = (keep, _build_resolved(sub_prof, req, margin, sweep_order))
+    l = len(box)
+    m2 = _corner(fam, s_set)
+    rect = tuple((lo - 4, hi) for lo, hi in box)
+    subs = []
+    for pos, i in enumerate(j for j in range(1, fam.l + 1) if j not in s_set):
+        sub_box = _hull(_box(fam, s_set | {i}, margin),
+                        rect[:pos] + rect[pos + 1:])
+        subs.append(_field(fam, s_set | {i}, sub_box, margin, sweep_order))
 
     # Stable prefill: on the slab p_i >= m_i the grading is that of the
-    # sublink without component i, translated by half linking numbers.
+    # sublink without component i, read at the same point.  Where slabs i
+    # and j overlap the first is taken: both repeat the field of the
+    # sublink without i and j there.
     g = {}
     for p in box_points(rect):
-        vals = {sub.g_at(tuple(p[k - 1] - prof.lkval(k, i) for k in keep))
-                for i, (keep, sub) in subs.items() if p[i - 1] >= m2[i - 1]}
-        if len(vals) > 1:
-            raise NotLSpaceLink(f"sublink gradings disagree at {p}")
-        if vals:
-            g[p] = vals.pop()
+        for pos, sub in enumerate(subs):
+            if p[pos] >= m2[pos]:
+                g[p] = sub[p[:pos] + p[pos + 1:]]
+                break
 
     # Interior sweep: the cube at s has its origin s - 1 below every slab;
     # its other vertices are graded before it, so the cube's non-origin
     # labels are known, and the completion the Euler characteristic selects
     # grades the origin.  Labels taken from one grading field are consistent
-    # on every face, so a completion always exists.
+    # on every face, so a completion always exists.  Every other cube lies
+    # in a slab, where g is constant along the slab direction and the
+    # coefficient is 0, so its Euler characteristic holds as well.
     sweep_box = tuple((lo + 2, m) for (lo, _), m in zip(rect, m2))
     pts = list(box_points(sweep_box))
     if sweep_order == "sum":
@@ -250,32 +244,27 @@ def _build_multi(prof, user_box, margin, sweep_order) -> TGraph:
                     f"coefficient {target}")
         # verts[1] is the unit vector e_l
         g[cube[0]] = g[cube[1]] - 2 * chosen.label(origin_vertex, l)
-
-    # Every cube, the slab ones included, must have the Euler characteristic
-    # of its coefficient in the normalized polynomial.
-    tg = TGraph(l, user_box, m2, g, prof, store_lo, store_hi)
-    for s in box_points(tuple((lo - 2, hi) for lo, hi in user_box)):
-        chi = _euler(l, tg.cube_gradings(s)[1])
-        if chi != p0.coeff(s):
-            raise NotLSpaceLink(
-                f"cube at {s} has Euler characteristic {chi}, "
-                f"need coefficient {p0.coeff(s)}")
-    _verify_bottom_stability(tg)
-    return tg
+    _verify_bottom_stability(g, box)
+    return g
 
 
-def _verify_bottom_stability(tg: TGraph):
+def _g_step(g, p2, j: int) -> int:
+    """Half the g difference across the edge entering p2 in direction j."""
+    down = p2[:j - 1] + (p2[j - 1] - 2,) + p2[j:]
+    return (g[p2] - g[down]) // 2
+
+
+def _verify_bottom_stability(g, box):
     """One step below the box, the g differences must repeat the bottom row;
     points are scanned in sorted order, so the witness is canonical."""
-    rect = tuple(zip(tg.store_lo, tg.store_hi))
-    for axis in range(tg.l):
-        low = tg.box[axis][0]
+    rect = tuple((lo - 4, hi) for lo, hi in box)
+    for axis, (low, _) in enumerate(box):
         row = rect[:axis] + ((low - 2, low - 2),) + rect[axis + 1:]
         for p in box_points(row):
             up = p[:axis] + (low,) + p[axis + 1:]
-            for j in range(1, tg.l + 1):
-                if p[j - 1] > tg.store_lo[j - 1] and \
-                        tg._g_step(p, j) != tg._g_step(up, j):
+            for j in range(1, len(box) + 1):
+                if p[j - 1] > rect[j - 1][0] and \
+                        _g_step(g, p, j) != _g_step(g, up, j):
                     raise RegionUnstable(
                         f"labels below the box at {p} differ from the bottom "
                         "row; enlarge the margin (LFK_MARGIN)")

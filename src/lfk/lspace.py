@@ -380,35 +380,36 @@ def _region_sums(entry, comp, r, grid) -> dict:
 
 
 def m_vector(prof: LinkProfile) -> tuple[int, ...]:
-    """The recursive stabilization corner of the lattice (doubled coords).
+    """The stabilization corner of the lattice (doubled coords).
 
     For a knot this is the top degree of Delta; in general each coordinate
     is the maximum of the top degree of the normalized full polynomial and
-    of the sublink values shifted by half linking numbers.
+    of the corners of the sublinks, shifted by half linking numbers.
     """
-    return _m_vector(prof, normalized_family(prof) if prof.l > 1 else None)
+    return _corner(normalized_family(prof), frozenset())
 
 
-def _m_vector(prof: LinkProfile, fam) -> tuple[int, ...]:
-    """m_vector given the profile's normalized family, which a knot skips."""
-    if prof.l == 1:
-        d = prof.delta[frozenset({1})]
-        if d.is_zero():
-            raise ValueError("a knot profile needs a nonzero Alexander polynomial")
-        return (d.max_exp2(1),)
-    p0 = fam.p_empty
+def _corner(fam: NormalizedFamily, s) -> tuple[int, ...]:
+    """The corner of the sublink L - S in the link's coordinates, one entry
+    per component outside S: coordinate i is the top u_i exponent over the
+    nonzero entries fam[T] with T containing S and not i.  A vanishing knot
+    tail has no corner."""
     out = []
-    for i in range(1, prof.l + 1):
-        cands = []
-        if not p0.is_zero():
-            cands.append(p0.max_exp2(i))
-        for j in range(1, prof.l + 1):
-            if j == i:
+    for i in range(1, fam.l + 1):
+        if i in s:
+            continue
+        tops = []
+        for t, entry in fam.entries.items():
+            if i in t or not s <= t:
                 continue
-            sub = prof.sub_profile(frozenset(range(1, prof.l + 1)) - {j})
-            idx = i if j > i else i - 1
-            cands.append(m_vector(sub)[idx - 1] + prof.lkval(i, j))
-        out.append(max(cands))
+            if isinstance(entry, TailPoly):     # u_i is its one variable
+                entry = entry.numer
+                if entry.is_zero():
+                    raise ValueError(
+                        "a knot profile needs a nonzero Alexander polynomial")
+            if not entry.is_zero():
+                tops.append(entry.max_exp2(i - sum(j < i for j in t)))
+        out.append(max(tops))
     return tuple(out)
 
 
@@ -424,35 +425,41 @@ def resolve_margin(margin: int | None = None) -> int:
 
 def default_box(prof: LinkProfile, margin: int = 2):
     """Per-coordinate doubled ranges [lo2, hi2] on the lattice cosets."""
-    return _default_box(prof, margin, normalized_family(prof))
+    return _box(normalized_family(prof), frozenset(), margin)
 
 
-def _default_box(prof: LinkProfile, margin: int, fam: NormalizedFamily):
-    """default_box given the profile's normalized family."""
+def _box(fam: NormalizedFamily, s, margin: int):
+    """The default box of the sublink L - S in the link's coordinates, one
+    range per component outside S."""
     if margin < 2:
         raise ValueError("box margin must be at least 2")
-    m2 = _m_vector(prof, fam)
-    p0 = fam.p_empty
-    los, his = [], []
-    for i in range(1, prof.l + 1):
-        if isinstance(p0, TailPoly):
-            lo = p0.numer.min_exp2(1)
-            hi = p0.numer.max_exp2(1)
-        else:
-            lo = p0.min_exp2(i) if not p0.is_zero() else m2[i - 1]
-            hi = p0.max_exp2(i) if not p0.is_zero() else m2[i - 1]
-        los.append(lo - 2 * margin)
-        his.append(max(m2[i - 1], hi) + 2 * margin)
-    if not isinstance(p0, TailPoly) and p0.is_zero():
+    m2 = _corner(fam, s)
+    p = fam[s]
+    if isinstance(p, TailPoly):
+        p = p.numer                     # nonzero, or _corner raised
+    box = []
+    for pos, m in enumerate(m2, start=1):
+        lo, hi = (m, m) if p.is_zero() else (p.min_exp2(pos), p.max_exp2(pos))
+        box.append((lo - 2 * margin, max(m, hi) + 2 * margin))
+    if p.is_zero():
         # A vanishing polynomial (a split link) does not show where the
         # sublinks stop changing, so their boxes are taken in as well.
-        for j in range(1, prof.l + 1):
-            keep = [k for k in range(1, prof.l + 1) if k != j]
-            sub = default_box(prof.sub_profile(frozenset(keep)), margin)
-            for k, (lo, hi) in zip(keep, sub):
-                los[k - 1] = min(los[k - 1], lo + prof.lkval(k, j))
-                his[k - 1] = max(his[k - 1], hi + prof.lkval(k, j))
-    return tuple(zip(los, his))
+        for pos, j in enumerate(j for j in range(1, fam.l + 1) if j not in s):
+            sub = _box(fam, s | {j}, margin)
+            box = _hull(box, sub[:pos] + (box[pos],) + sub[pos:])
+    return tuple(box)
+
+
+def _hull(box1, box2):
+    return tuple((min(a, c), max(b, d)) for (a, b), (c, d) in zip(box1, box2))
+
+
+def _checked_box(prof: LinkProfile, box) -> tuple:
+    """An explicit box as (lo2, hi2) pairs, one per component."""
+    box = tuple(tuple(b) for b in box)
+    if len(box) != prof.l:
+        raise ValueError(f"box has {len(box)} ranges, expected {prof.l}")
+    return box
 
 
 def box_points(box):
@@ -486,8 +493,8 @@ def theorem_alex_check(prof: LinkProfile, box=None, margin: int = 2) -> TheoremR
     the box grown by one step, on one normalized family.
     """
     fam = normalized_family(prof)
-    if box is None:
-        box = _default_box(prof, margin, fam)
+    box = _box(fam, frozenset(), margin) if box is None else \
+        _checked_box(prof, box)
     if any(lo > hi for lo, hi in box):
         raise ValueError(f"box {box} has an axis with lo > hi")
     l = prof.l

@@ -9,6 +9,7 @@ import lfk
 from lfk.cli import (SweepRecord, class_id_of, class_representative, classify,
                      classification_summary, equivalence_orbit, family_links,
                      main, records_from_csv, records_to_csv)
+from lfk.lspace import unknot_profile
 
 
 # The directory lfk was imported from, so the subprocess finds the same copy.
@@ -155,6 +156,21 @@ def test_expansion_input_matches_ab(capsys):
         assert capsys.readouterr().out == by_exp, cmd
         assert main([cmd]) == 1
         assert "error" in capsys.readouterr().err
+
+
+def test_link_inputs_are_exclusive(tmp_path, capsys):
+    path = tmp_path / "knot.json"
+    path.write_text(json.dumps(unknot_profile().to_json()))
+    ab, exp, prof = ["--ab", "20", "-3"], ["--exp=-3,-1,1"], ["--profile",
+                                                            str(path)]
+    cases = [["alex", *ab, *exp]]
+    for cmd in ("check", "tgraph", "hfl"):
+        cases += [[cmd, *ab, *exp], [cmd, *ab, *prof], [cmd, *exp, *prof]]
+    for argv in cases:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == "", argv
+    assert main(["tgraph", *prof]) == 0
 
 
 def test_hat_point_off_the_table_is_a_usage_error(capsys):

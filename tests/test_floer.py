@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+import lfk.floer
+import lfk.lspace
 from conftest import split_union_with_unknot
 from lfk.bridge import TwoBridge, signature
 from lfk.cli import family_links
@@ -9,9 +11,10 @@ from lfk.cubes import GradedVS, corner_homology
 from lfk.errors import HypothesisNotMet, NotLSpaceLink, UnsupportedComponents
 from lfk.floer import (alternating_cross_check, build_tgraph, hfl_hat,
                        hfl_minus)
-from lfk.lspace import (box_points, cor_alex2_check, m_vector,
-                        normalized_family, theorem_sum, two_bridge_profile,
-                        unknot_profile, unlink_profile)
+from lfk.laurent import MultiLaurent
+from lfk.lspace import (LinkProfile, box_points, cor_alex2_check, m_vector,
+                        normalized_family, theorem_alex_check, theorem_sum,
+                        two_bridge_profile, unknot_profile, unlink_profile)
 
 
 def vs(*pairs):
@@ -96,6 +99,46 @@ def test_pinned_wrong_sign_fails():
     wrong = prof.with_signs({prof.full(): -rep.sign})
     with pytest.raises(NotLSpaceLink):
         build_tgraph(wrong)
+
+
+def test_one_family_per_build(monkeypatch):
+    # Every sublink's field reads its Euler targets and corner off the
+    # link's one normalized family.
+    calls = []
+
+    def counting(prof):
+        calls.append(prof)
+        return normalized_family(prof)
+
+    monkeypatch.setattr(lfk.lspace, "normalized_family", counting)
+    monkeypatch.setattr(lfk.floer, "normalized_family", counting)
+    b20 = fixed_profile(20, -3)
+    for prof in (b20, split_union_with_unknot(b20), unlink_profile(3)):
+        calls.clear()
+        build_tgraph(prof)
+        assert len(calls) == 1, prof.to_json()
+
+
+def test_wrong_arity_box_is_refused():
+    prof = fixed_profile(20, -3)
+    for box in (((-8, 8),), ((-8, 8),) * 3):
+        for fn in (build_tgraph, theorem_alex_check):
+            with pytest.raises(ValueError, match="expected 2"):
+                fn(prof, box=box)
+
+
+def test_sublink_refusal_names_link_coordinates():
+    # Knot 1 of b(20,-3) replaced by 2u - 3 + 2/u: its tail coefficient -1
+    # sits at exponent 0 in the knot's own coordinates, and at 2/2 in the
+    # link's, which are shifted by half the linking number 2.
+    prof = fixed_profile(20, -3)
+    delta = dict(prof.delta)
+    delta[frozenset({1})] = MultiLaurent(1, {(2,): 2, (0,): -3, (-2,): 2})
+    with pytest.raises(NotLSpaceLink) as exc:
+        build_tgraph(LinkProfile(2, prof.lk, delta, prof.signs))
+    assert str(exc.value) == (
+        "normalized coefficient -1 at exponent 2/2; "
+        "not an L-space knot profile (or wrong sign)")
 
 
 def test_g_field_is_path_independent():

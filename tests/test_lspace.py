@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -5,14 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import split_union_with_unknot
+from conftest import rand_poly, split_union_with_unknot
 from lfk.bridge import TwoBridge
 from lfk.errors import CosetViolation, RegionUnstable
 from lfk.laurent import MultiLaurent, TailPoly
 from lfk.lspace import (LinkProfile, box_points, cor_alex2_check, default_box,
-                        m_vector, normalized_family, r_sum, theorem_alex_check,
-                        theorem_field, theorem_sum, two_bridge_profile,
-                        unknot_profile, unlink_profile)
+                        m_vector, normalized_family, r_sum, subsets_of,
+                        theorem_alex_check, theorem_field, theorem_sum,
+                        two_bridge_profile, unknot_profile, unlink_profile)
 
 B20_P_EMPTY = MultiLaurent(2, {
     (2, 4): 1, (4, 2): 1, (2, 0): 1, (0, 2): 1, (-2, 0): 1, (0, -2): 1,
@@ -234,6 +235,93 @@ def test_default_box_contains_support_with_margin():
         lo, hi = box[i - 1]
         assert lo <= p0.min_exp2(i) - 4
         assert hi >= m_vector(prof)[i - 1] + 4
+
+
+def _recursive_corner(prof):
+    """The corner by recursion over sub-profiles: a knot's is the top degree
+    of Delta; a link's coordinate i is the top u_i degree of P_empty or a
+    sublink corner shifted by the linking number with the dropped
+    component."""
+    if prof.l == 1:
+        return (prof.delta[prof.full()].max_exp2(1),)
+    p0 = normalized_family(prof).p_empty
+    out = []
+    for i in range(1, prof.l + 1):
+        cands = [] if p0.is_zero() else [p0.max_exp2(i)]
+        for j in range(1, prof.l + 1):
+            if j != i:
+                sub = _recursive_corner(prof.sub_profile(prof.full() - {j}))
+                cands.append(sub[i - (j < i) - 1] + prof.lkval(i, j))
+        out.append(max(cands))
+    return tuple(out)
+
+
+def _recursive_box(prof, margin):
+    """The default box by the same recursion: the support of P_empty (or
+    the corner) padded by the margin, and for a vanishing P_empty the hull
+    with every sublink's box shifted by linking numbers."""
+    m2 = _recursive_corner(prof)
+    p0 = normalized_family(prof).p_empty
+    box = []
+    for i in range(1, prof.l + 1):
+        if isinstance(p0, TailPoly):
+            lo, hi = p0.numer.min_exp2(1), p0.numer.max_exp2(1)
+        elif p0.is_zero():
+            lo = hi = m2[i - 1]
+        else:
+            lo, hi = p0.min_exp2(i), p0.max_exp2(i)
+        box.append((lo - 2 * margin, max(m2[i - 1], hi) + 2 * margin))
+    if not isinstance(p0, TailPoly) and p0.is_zero():
+        for j in range(1, prof.l + 1):
+            keep = [k for k in range(1, prof.l + 1) if k != j]
+            sub = _recursive_box(prof.sub_profile(frozenset(keep)), margin)
+            for k, (lo, hi) in zip(keep, sub):
+                shift = prof.lkval(k, j)
+                box[k - 1] = (min(box[k - 1][0], lo + shift),
+                              max(box[k - 1][1], hi + shift))
+    return tuple(box)
+
+
+def _random_profile(rng, l):
+    """Unknotted components, random linking numbers, and random sublink
+    polynomials (often vanishing, rarely symmetric) on the forced cosets."""
+    lk = [[0] * l for _ in range(l)]
+    for i, j in itertools.combinations(range(l), 2):
+        lk[i][j] = lk[j][i] = rng.randint(-2, 2)
+    delta = {}
+    for m in subsets_of(l, nonempty=True):
+        comps = sorted(m)
+        parity = tuple((1 + sum(lk[i - 1][j - 1] for j in comps)) & 1
+                       for i in comps)
+        delta[m] = (MultiLaurent.const(1, 1) if len(m) == 1 else
+                    rand_poly(rng, len(m), max_terms=4, span=3, parity=parity))
+    return LinkProfile(l, lk, delta)
+
+
+def test_corner_and_box_match_sublink_recursion():
+    # m_vector and default_box read every sublink off the link's own
+    # family; the recursion over re-indexed sub-profiles is a second route.
+    profiles = [unknot_profile(), unlink_profile(2), unlink_profile(3)]
+    profiles += [split_union_with_unknot(two_bridge_profile(TwoBridge(a, b)))
+                 for a, b in ((2, -1), (14, -5), (20, -3))]
+    for alpha, beta in _two_bridge_pairs(30):
+        prof = two_bridge_profile(TwoBridge(alpha, beta))
+        profiles += [prof.with_signs({prof.full(): s}) for s in (1, -1)]
+    rng = random.Random(6)
+    profiles += [_random_profile(rng, l) for l in (2, 3) * 30]
+    for prof in profiles:
+        assert m_vector(prof) == _recursive_corner(prof), prof.to_json()
+        for margin in (2, 4):
+            assert default_box(prof, margin) == _recursive_box(prof, margin), \
+                (prof.to_json(), margin)
+    # A vanishing knot polynomial has no corner, alone or in a link.
+    zero_knot = dict(profiles[3].delta)
+    zero_knot[frozenset({3})] = MultiLaurent.zero(1)
+    for prof in (LinkProfile(1, ((0,),), {frozenset({1}): MultiLaurent.zero(1)}),
+                 LinkProfile(3, profiles[3].lk, zero_knot)):
+        for fn in (m_vector, default_box):
+            with pytest.raises(ValueError, match="nonzero Alexander"):
+                fn(prof)
 
 
 def test_profile_json_roundtrip():
