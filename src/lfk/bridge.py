@@ -142,24 +142,26 @@ def even_expansion(link: TwoBridge) -> EvenExpansion:
     return exp
 
 
+def equivalence_orbit(alpha: int, beta: int,
+                      reversal: bool = True) -> frozenset[int]:
+    """The residues mod 2*alpha of every beta' with b(alpha, beta')
+    equivalent to b(alpha, beta): beta and its inverse, and with reversal
+    (of one component's orientation) both shifted by alpha.  No further
+    residue arises, since (b + alpha)^-1 = b^-1 + alpha mod 2*alpha for
+    alpha even and b odd."""
+    m = 2 * alpha
+    orbit = {beta % m, pow(beta, -1, m)}
+    if reversal:
+        orbit |= {(b + alpha) % m for b in orbit}
+    return frozenset(orbit)
+
+
 def equivalent(l1: TwoBridge, l2: TwoBridge,
                allow_orientation_reversal: bool = False) -> bool:
-    """Equivalence of two-bridge links via congruences modulo 2*alpha.
-
-    Links agree iff alpha matches and beta' is congruent to beta or to its
-    inverse; with the flag set, the congruences shifted by alpha detect
-    equivalence after reversing the orientation of one component.
-    """
-    if l1.alpha != l2.alpha:
-        return False
-    m = 2 * l1.alpha
-    b, b2 = l1.beta % m, l2.beta % m
-    if b2 == b or (b * b2) % m == 1 % m:
-        return True
-    if allow_orientation_reversal:
-        if b2 == (b + l1.alpha) % m or (b * b2) % m == (1 + l1.alpha) % m:
-            return True
-    return False
+    """Whether two two-bridge links are equivalent, optionally after
+    reversing the orientation of one component."""
+    return l1.alpha == l2.alpha and l2.beta % (2 * l2.alpha) in \
+        equivalence_orbit(l1.alpha, l1.beta, allow_orientation_reversal)
 
 
 @lru_cache(maxsize=None)
@@ -354,32 +356,19 @@ def _tridiag_signature(n: int, corner: int) -> int:
 def _family_matches(link: TwoBridge):
     """All (sigma_formula, goeritz_matrix, mirror) triples for the oriented
     families b(qk-1, +-k) and b(q'k+1, +-k) that the link matches without
-    reversing orientations."""
+    reversing orientations.  The candidates b(alpha, +-k) are read off the
+    link's orbit; q = (alpha +- 1)/k is odd whenever it is an integer."""
     alpha = link.alpha
     matches = []
-    for k in range(1, alpha, 2):
-        for fam, qval in (("qk-1", alpha + 1), ("q'k+1", alpha - 1)):
-            if qval % k:
-                continue
-            q = qval // k
-            if q % 2 == 0 or q < 1:
-                continue
-            if fam == "qk-1" and k == 1 and q == 1:
-                continue
-            for sign in (1, -1):
-                try:
-                    member = TwoBridge(alpha, sign * k)
-                except ValueError:
-                    continue
-                if not equivalent(link, member, allow_orientation_reversal=False):
-                    continue
-                if fam == "qk-1":
-                    sigma = sign * (q - 2)
-                    goeritz = (q, 1 - k) if k > 1 else None
-                else:
-                    sigma = sign * q
-                    goeritz = (q, 1 + k)
-                matches.append((sigma, goeritz, sign))
+    for r in equivalence_orbit(alpha, link.beta, reversal=False):
+        sign, k = (1, r) if r < alpha else (-1, 2 * alpha - r)
+        if (alpha + 1) % k == 0:
+            q = (alpha + 1) // k
+            matches.append((sign * (q - 2), (q, 1 - k) if k > 1 else None,
+                            sign))
+        if (alpha - 1) % k == 0:
+            q = (alpha - 1) // k
+            matches.append((sign * q, (q, 1 + k), sign))
     return matches
 
 

@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .bridge import TwoBridge, even_expansion, signature
+from .bridge import TwoBridge, equivalence_orbit, even_expansion, signature
 from .cubes import CubeLabeling, corner_homology, oracle_corner_homology
 from .errors import LfkError, NotLSpaceLink, UnsupportedForm
 from .floer import alternating_cross_check, build_tgraph, hfl_hat, hfl_minus
@@ -83,21 +83,6 @@ CSV_COLUMNS = ["alpha", "beta", "p", "q", "cor_alex2", "tgraph",
                "sigma_cross", "family", "class_id"]
 
 
-def equivalence_orbit(alpha: int, beta: int) -> frozenset[int]:
-    """Orbit of beta mod 2*alpha under inversion and the alpha shift."""
-    m = 2 * alpha
-    seen = {beta % m}
-    frontier = list(seen)
-    while frontier:
-        b = frontier.pop()
-        for nxt in (pow(b, -1, m), (b + alpha) % m,
-                    (pow(b, -1, m) + alpha) % m):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
-
-
 def _beta_from_residue(alpha: int, r: int) -> int:
     return r if r < alpha else r - 2 * alpha
 
@@ -144,12 +129,11 @@ def _pipeline(rep: TwoBridge, cid: str, fam: bool,
               margin: int) -> SweepRecord:
     exp = even_expansion(rep)
     prof = two_bridge_profile(exp)
-    cor = cor_alex2_check(prof)
+    prof, cor = _resolve_two_bridge_sign(prof)
     if cor.sign is None:
         corv = "fail:" + (cor.failures[0][3] if cor.failures else "no sign")
         return SweepRecord(rep.alpha, rep.beta, exp.p, exp.q, corv,
                            "skipped", "skipped", fam, cid)
-    prof = prof.with_signs({prof.full(): cor.sign})
     try:
         tg = build_tgraph(prof, margin=margin)
     except NotLSpaceLink:
@@ -300,32 +284,39 @@ def _cmd_alex(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    """Pass when some sign assignment passes the two-component corollary
+    and the theorem check, as build_tgraph tries every assignment.  Else
+    reject with the first theorem failure, or when no assignment passes the
+    corollary, with the first assignment's corollary failure."""
     prof = _profile_from_args(args)
     margin = resolve_margin(args.margin)
     if prof.l == 2:
-        # A pinned sign passes, so only an unresolved sign can fail.
-        prof, cor = _resolve_two_bridge_sign(prof)
-        if cor.sign is None and not cor.ok:
-            f = cor.first_failure()
-            return _reject(f"cor_alex2: {f[3]}", cor.to_json())
-    thm = theorem_alex_check(prof, margin=margin)
-    if not thm.ok:
-        p, r, v = thm.violations[0]
-        return _reject(f"signed sum {v} at {list(p)} direction {r}",
-                       thm.to_json())
-    print(json.dumps({"ok": True, "box": [list(b) for b in thm.box]}))
-    return EXIT_OK
+        prof, _ = _resolve_two_bridge_sign(prof)
+    cor_fail = thm_fail = None
+    for cand in prof.assignments():
+        if cand.l == 2:
+            cor = cor_alex2_check(cand)
+            if not cor.ok:
+                cor_fail = cor_fail or cor
+                continue
+        thm = theorem_alex_check(cand, margin=margin)
+        if thm.ok:
+            print(json.dumps({"ok": True, "box": [list(b) for b in thm.box]}))
+            return EXIT_OK
+        thm_fail = thm_fail or thm
+    if thm_fail is None:
+        return _reject(f"cor_alex2: {cor_fail.first_failure()[3]}",
+                       cor_fail.to_json())
+    p, r, v = thm_fail.violations[0]
+    return _reject(f"signed sum {v} at {list(p)} direction {r}",
+                   thm_fail.to_json())
 
 
 def _cmd_tgraph(args) -> int:
     prof = _profile_from_args(args)
     if prof.l == 2:
         prof, _ = _resolve_two_bridge_sign(prof)
-    try:
-        tg = build_tgraph(prof, margin=args.margin)
-    except NotLSpaceLink as err:
-        return _reject(f"NotLSpaceLink: {err}")
-    print(json.dumps(tg.to_json()))
+    print(json.dumps(build_tgraph(prof, margin=args.margin).to_json()))
     return EXIT_OK
 
 
@@ -333,10 +324,7 @@ def _cmd_hfl(args) -> int:
     prof = _profile_from_args(args)
     if prof.l == 2:
         prof, _ = _resolve_two_bridge_sign(prof)
-    try:
-        table = hfl_minus(prof, margin=args.margin)
-    except NotLSpaceLink as err:
-        return _reject(f"NotLSpaceLink: {err}")
+    table = hfl_minus(prof, margin=args.margin)
     out = table.to_json()
     if args.hat:
         s2 = tuple(int(x) for x in args.hat.split(","))
@@ -370,11 +358,7 @@ def _parse_cube_labels(n: int, text: str) -> CubeLabeling:
 def _cmd_cube(args) -> int:
     cl = _parse_cube_labels(args.n, args.labels)
     fn = oracle_corner_homology if args.oracle else corner_homology
-    try:
-        h = fn(cl, args.origin)
-    except LfkError as err:
-        return _reject(f"{type(err).__name__}: {err}")
-    print(json.dumps({"homology": h.to_json()}))
+    print(json.dumps({"homology": fn(cl, args.origin).to_json()}))
     return EXIT_OK
 
 

@@ -76,10 +76,6 @@ class AmbiguousSign(LfkError):
     """Distinct admissible sign choices produce different homology tables."""
 
 
-class UnsupportedComponents(LfkError):
-    """The homology engine only handles up to three components."""
-
-
 class HypothesisNotMet(LfkError):
     """The vanishing hypothesis for the hat-flavor identification fails."""
 

@@ -26,16 +26,15 @@ cube's vertices.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .cubes import (CubeLabeling, GradedVS, _corner_from_grading_key,
                     complete_subgraph, euler_char, vertices)
-from .errors import (AmbiguousSign, HypothesisNotMet, NotLSpaceLink,
-                     RegionUnstable, UnsupportedComponents)
+from .errors import AmbiguousSign, HypothesisNotMet, NotLSpaceLink, RegionUnstable
 from .laurent import MultiLaurent, TailPoly
-from .lspace import (LinkProfile, _box, _checked_box, _corner, _hull,
-                     box_points, normalized_family, resolve_margin)
+from .lspace import (LinkProfile, NormalizedFamily, _box, _checked_box,
+                     _corner, _hull, box_points, normalized_family,
+                     resolve_margin)
 
 
 @dataclass(frozen=True)
@@ -47,14 +46,15 @@ class TGraph:
     stored field.  The label of the edge entering a point from below in a
     direction is half the difference of g across that edge.  Labels repeat
     verbatim below the box (checked during construction), so lookups outside
-    the stored region clamp back into it.
+    the stored region clamp back into it.  family is the normalized family
+    g was built from, under the sign assignment that built it.
     """
 
     l: int
     box: tuple                      # user-facing per-coordinate (lo2, hi2)
     m2: tuple
     g: dict
-    profile: LinkProfile
+    family: NormalizedFamily
     store_lo: tuple
     store_hi: tuple
 
@@ -119,40 +119,39 @@ def build_tgraph(prof: LinkProfile, box=None, margin=None,
     Sign flags marked "auto" are resolved by trying every assignment: the
     builds that succeed must all induce the same homology table, which is
     then the answer; disagreement raises AmbiguousSign and total failure
-    raises NotLSpaceLink.  An explicit box needs one range per component.
+    raises the last assignment's NotLSpaceLink.  An explicit box needs one
+    range per component; it is widened to the lattice and to the default
+    box.
     """
-    if prof.l > 3:
-        raise UnsupportedComponents("only 1, 2 or 3 components are supported")
     margin = resolve_margin(margin)
     if box:
         box = _checked_box(prof, box)
-    autos = prof.auto_subsets()
-    if not autos:
-        return _build_resolved(prof, box, margin, sweep_order)
     built = []
-    failure = None
-    for bits in itertools.product((1, -1), repeat=len(autos)):
-        candidate = prof.with_signs(dict(zip(autos, bits)))
+    for candidate in prof.assignments():
         try:
             built.append(_build_resolved(candidate, box, margin, sweep_order))
         except NotLSpaceLink as err:
             failure = err
     if not built:
-        raise failure if failure is not None else NotLSpaceLink(
-            "no sign assignment admits a consistent labeling")
-    tables = [_corner_table(tg) for tg in built]
-    if any(t != tables[0] for t in tables[1:]):
-        raise AmbiguousSign(
-            "distinct sign assignments give different homology tables")
+        raise failure
+    if len(built) > 1:
+        tables = [_corner_table(tg) for tg in built]
+        if any(t != tables[0] for t in tables[1:]):
+            raise AmbiguousSign(
+                "distinct sign assignments give different homology tables")
     return built[0]
 
 
 def _build_resolved(prof, box, margin, sweep_order) -> TGraph:
     fam = normalized_family(prof)
-    natural = _box(fam, frozenset(), margin)
-    user_box = _hull(natural, box) if box else natural
+    user_box = _box(fam, frozenset(), margin)
+    if box:
+        # An explicit edge off the lattice coset of its axis moves outward.
+        cosets = [prof.coset_parity(i) for i in range(1, prof.l + 1)]
+        user_box = _hull(user_box, [(lo - (lo - c) % 2, hi + (hi - c) % 2)
+                                    for (lo, hi), c in zip(box, cosets)])
     g = _field(fam, frozenset(), user_box, margin, sweep_order)
-    return TGraph(prof.l, user_box, _corner(fam, frozenset()), g, prof,
+    return TGraph(prof.l, user_box, _corner(fam, frozenset()), g, fam,
                   tuple(lo - 4 for lo, _ in user_box),
                   tuple(hi for _, hi in user_box))
 
@@ -375,7 +374,7 @@ def alternating_cross_check(prof: LinkProfile, sigma: int,
         raise ValueError("the alternating model applies to two components")
     if table is None:
         table = hfl_minus(prof)
-    p0 = normalized_family(table.tgraph.profile).p_empty
+    p0 = table.tgraph.family.p_empty
     if p0.is_zero():
         # A vanishing polynomial means a split-like profile; the
         # single-grading model presumes a non-split diagram, so there is

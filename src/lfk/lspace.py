@@ -114,9 +114,17 @@ class LinkProfile:
     def full(self) -> Subset:
         return frozenset(range(1, self.l + 1))
 
-    def auto_subsets(self) -> list[Subset]:
-        return [m for m in sorted(self.signs, key=subset_key)
-                if self.signs[m] == "auto"]
+    def assignments(self):
+        """Every sign assignment to the "auto" subsets, as pinned profiles:
+        the one keeping every stored polynomial first, or just this profile
+        when nothing is auto.  A vanishing polynomial has no sign to try."""
+        autos = [m for m in sorted(self.signs, key=subset_key)
+                 if self.signs[m] == "auto" and not self.delta[m].is_zero()]
+        if not autos:
+            yield self
+            return
+        for bits in itertools.product((1, -1), repeat=len(autos)):
+            yield self.with_signs(dict(zip(autos, bits)))
 
     def with_signs(self, resolution: dict) -> LinkProfile:
         """Apply a sign choice (+1/-1 per subset) and pin the flags."""
@@ -259,26 +267,7 @@ def normalized_family(prof: LinkProfile) -> NormalizedFamily:
             j = comp[0]
             numer = poly.shifted((prof.lk_with(j, s),))
             entries[s] = TailPoly(j, numer)
-    fam = NormalizedFamily(prof.l, entries)
-    _check_family_cosets(prof, fam)
-    return fam
-
-
-def _check_family_cosets(prof: LinkProfile, fam: NormalizedFamily):
-    for s, entry in fam.entries.items():
-        comp = sorted(set(range(1, prof.l + 1)) - s)
-        if isinstance(entry, TailPoly):
-            par = entry.numer.parity(1)
-            if par is not None and par != prof.coset_parity(comp[0]):
-                raise CosetViolation(
-                    f"tail for S={subset_key(s) or 'empty'} misses the lattice")
-        else:
-            for pos, j in enumerate(comp, start=1):
-                par = entry.parity(pos)
-                if par is not None and par != prof.coset_parity(j):
-                    raise CosetViolation(
-                        f"P for S={subset_key(s) or 'empty'} misses the lattice "
-                        f"in variable u{j}")
+    return NormalizedFamily(prof.l, entries)
 
 
 def r_sum(fam: NormalizedFamily, s_set, point2, r: int) -> int:
@@ -423,16 +412,14 @@ def resolve_margin(margin: int | None = None) -> int:
     return margin
 
 
-def default_box(prof: LinkProfile, margin: int = 2):
+def default_box(prof: LinkProfile, margin: int | None = None):
     """Per-coordinate doubled ranges [lo2, hi2] on the lattice cosets."""
-    return _box(normalized_family(prof), frozenset(), margin)
+    return _box(normalized_family(prof), frozenset(), resolve_margin(margin))
 
 
 def _box(fam: NormalizedFamily, s, margin: int):
     """The default box of the sublink L - S in the link's coordinates, one
     range per component outside S."""
-    if margin < 2:
-        raise ValueError("box margin must be at least 2")
     m2 = _corner(fam, s)
     p = fam[s]
     if isinstance(p, TailPoly):
@@ -483,7 +470,8 @@ class TheoremReport:
                                for p, r, v in self.violations]}
 
 
-def theorem_alex_check(prof: LinkProfile, box=None, margin: int = 2) -> TheoremReport:
+def theorem_alex_check(prof: LinkProfile, box=None,
+                       margin: int | None = None) -> TheoremReport:
     """Evaluate the signed coefficient-sum condition over a box.
 
     Every lattice point and every direction must give a value of 0 or 1.
@@ -493,8 +481,8 @@ def theorem_alex_check(prof: LinkProfile, box=None, margin: int = 2) -> TheoremR
     the box grown by one step, on one normalized family.
     """
     fam = normalized_family(prof)
-    box = _box(fam, frozenset(), margin) if box is None else \
-        _checked_box(prof, box)
+    box = _box(fam, frozenset(), resolve_margin(margin)) if box is None \
+        else _checked_box(prof, box)
     if any(lo > hi for lo, hi in box):
         raise ValueError(f"box {box} has an axis with lo > hi")
     l = prof.l
@@ -546,17 +534,17 @@ def cor_alex2_check(prof: LinkProfile) -> CorReport:
     """
     if prof.l != 2:
         raise ValueError("this corollary checker needs exactly two components")
-    # The +1 run is the profile as given: that sign keeps delta.
-    runs = {s: _cor_failures(prof.with_signs({prof.full(): s}))
-            for s in (1, -1)}
+    # The +1 run is the profile as given.  The sign of Delta_L enters the
+    # family only through its entry at the empty set.
+    fam = normalized_family(prof)
+    runs = {1: _cor_failures(fam, fam.p_empty),
+            -1: _cor_failures(fam, -fam.p_empty)}
     passing = [s for s in (1, -1) if not runs[s]]
     sign = passing[0] if len(passing) == 1 else None
     return CorReport(not runs[1], tuple(runs[1]), sign)
 
 
-def _cor_failures(prof: LinkProfile):
-    fam = normalized_family(prof)
-    p0 = fam.p_empty
+def _cor_failures(fam: NormalizedFamily, p0: MultiLaurent):
     failures = []
     for e2, c in sorted(p0.terms.items()):
         if abs(c) > 1:

@@ -25,6 +25,13 @@ def rand_nonzero(rng, **kw):
             return p
 
 
+def knot_one_negated(prof):
+    """The profile with Delta of component 1 negated and every flag auto."""
+    delta = dict(prof.delta)
+    delta[frozenset({1})] = -delta[frozenset({1})]
+    return LinkProfile(prof.l, prof.lk, delta)
+
+
 def split_union_with_unknot(pair_profile):
     """A two-component profile plus a distant, unlinked unknot."""
     one1 = MultiLaurent.const(1, 1)

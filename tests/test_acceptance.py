@@ -8,13 +8,15 @@ import math
 import random
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from conftest import rand_nonzero, rand_poly
 from lfk.bridge import (TwoBridge, alexander_of, signature,
                         signature_of_matrix, tridiagonal_matrix)
-from lfk.cli import classification_summary, classify, family_links
+from lfk.cli import (classification_summary, classify, family_links,
+                     records_to_csv)
 from lfk.cubes import (CubeLabeling, GradedVS, corner_homology,
                        enumerate_valid_labelings, euler_char, facet,
                        oracle_corner_homology)
@@ -132,6 +134,8 @@ def test_criterion_6_classification():
     family = {r.class_id for r in records if r.family_member}
     assert summary["match"]
     assert survivors == family == set(summary["family"])
+    reference = Path(__file__).parents[1] / "bench" / "reference" / "sweep60.csv"
+    assert records_to_csv(records).encode() == reference.read_bytes()
     _verdict(6, f"classify(60): {len(survivors)} surviving classes equal the "
              "known family", t0, 300.0)
 

@@ -5,9 +5,10 @@ import pytest
 
 from lfk.bridge import (EvenExpansion, TwoBridge, alexander, alexander_of,
                         delta_recursion, delta_sequence,
-                        diagonal_identities_check, equivalent, even_expansion,
-                        F_poly, fraction_of, linking_number, signature,
-                        signature_of_matrix, tridiagonal_matrix)
+                        diagonal_identities_check, equivalence_orbit,
+                        equivalent, even_expansion, F_poly, fraction_of,
+                        linking_number, signature, signature_of_matrix,
+                        tridiagonal_matrix)
 from lfk.errors import UnsupportedForm, ZeroDenominator
 from lfk.laurent import MultiLaurent, exact_div
 
@@ -95,6 +96,35 @@ def test_equivalence_is_an_equivalence_relation():
                     same = equivalent(x, y, flag)
                     assert same == equivalent(y, x, flag)
                     assert same == (classes[x.beta] == classes[y.beta])
+
+
+def _bfs_orbit(alpha, beta, reversal):
+    """The orbit of beta mod 2*alpha by search under inversion and, with
+    reversal, the alpha shift: a second route to equivalence_orbit."""
+    m = 2 * alpha
+    moves = [lambda b: pow(b, -1, m)]
+    if reversal:
+        moves += [lambda b: (b + alpha) % m,
+                  lambda b: (pow(b, -1, m) + alpha) % m]
+    seen = {beta % m}
+    frontier = list(seen)
+    while frontier:
+        b = frontier.pop()
+        for nxt in (move(b) for move in moves):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+def test_equivalence_orbit_matches_search():
+    count = 0
+    for link in all_links(300):
+        for reversal in (False, True):
+            assert equivalence_orbit(link.alpha, link.beta, reversal) == \
+                _bfs_orbit(link.alpha, link.beta, reversal), (link, reversal)
+        count += 1
+    assert count == 18330
 
 
 def test_f_poly():
@@ -252,6 +282,37 @@ def test_signature_families_match_diagonalization():
             alpha = q * k + 1
             if 2 <= alpha <= 200 and k < alpha:
                 assert signature_of_matrix(tridiagonal_matrix(q, 1 + k)) == q
+
+
+def _scanned_signature(link):
+    """The family signature by scanning every odd k < alpha for a member
+    b(alpha, +-k) equivalent to the link by the congruences
+    beta' = beta or beta * beta' = 1 mod 2*alpha; None outside the
+    families.  A second route to signature()."""
+    alpha, m = link.alpha, 2 * link.alpha
+    sigmas = set()
+    for k in range(1, alpha, 2):
+        for sign in (1, -1):
+            b = sign * k
+            if math.gcd(alpha, k) != 1 or not (
+                    (b - link.beta) % m == 0 or (b * link.beta) % m == 1):
+                continue
+            if (alpha + 1) % k == 0:
+                sigmas.add(sign * ((alpha + 1) // k - 2))
+            if (alpha - 1) % k == 0:
+                sigmas.add(sign * ((alpha - 1) // k))
+    assert len(sigmas) <= 1, link
+    return sigmas.pop() if sigmas else None
+
+
+def test_signature_matches_family_scan():
+    for link in all_links(200):
+        want = _scanned_signature(link)
+        if want is None:
+            with pytest.raises(UnsupportedForm):
+                signature(link)
+        else:
+            assert signature(link) == want, link
 
 
 def test_signature_unsupported_form():

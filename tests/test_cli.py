@@ -6,10 +6,15 @@ import sys
 import pytest
 
 import lfk
-from lfk.cli import (SweepRecord, class_id_of, class_representative, classify,
-                     classification_summary, equivalence_orbit, family_links,
-                     main, records_from_csv, records_to_csv)
-from lfk.lspace import unknot_profile
+import lfk.floer
+import lfk.lspace
+from conftest import knot_one_negated
+from lfk.bridge import TwoBridge
+from lfk.cli import (SweepRecord, _pipeline, class_id_of, class_representative,
+                     classify, classification_summary, equivalence_orbit,
+                     family_links, main, records_from_csv, records_to_csv)
+from lfk.lspace import (normalized_family, two_bridge_profile, unknot_profile,
+                        unlink_profile)
 
 
 # The directory lfk was imported from, so the subprocess finds the same copy.
@@ -95,6 +100,8 @@ def test_cube_subcommand():
 
     rc, out, _ = run_cli("cube", "--n", "4", "--labels", "all1")
     assert rc == 2  # determined homology refuses dimension 4
+    assert out == ('{"reason": "DimensionUnsupported: corner homology is '
+                   'not determined by edge labels for n >= 4"}\n')
 
     rc, out, _ = run_cli("cube", "--n", "4", "--labels", "all1", "--oracle")
     assert rc == 0
@@ -115,6 +122,25 @@ def test_tgraph_and_hfl_json():
     rc, out, _ = run_cli("hfl", "--ab", "12", "5")
     assert rc == 2
     assert "NotLSpaceLink" in json.loads(out)["reason"]
+
+    rc, out, _ = run_cli("tgraph", "--ab", "12", "5")
+    assert rc == 2
+    assert out == ('{"reason": "NotLSpaceLink: neither dichotomy branch at '
+                   '(2, 2) matches coefficient -2"}\n')
+
+
+def test_check_tries_every_sign_assignment_as_tgraph_does(tmp_path, capsys):
+    # With component 1's Delta negated and every flag auto, the profile
+    # holds only on the assignment that flips it back: check finds it as
+    # tgraph does, and both read the same box.
+    for prof in (two_bridge_profile(TwoBridge(20, -3)), unlink_profile(3)):
+        path = tmp_path / "prof.json"
+        path.write_text(json.dumps(knot_one_negated(prof).to_json()))
+        assert main(["check", "--profile", str(path)]) == 0
+        check = json.loads(capsys.readouterr().out)
+        assert main(["tgraph", "--profile", str(path)]) == 0
+        tgraph = json.loads(capsys.readouterr().out)
+        assert check == {"ok": True, "box": tgraph["box"]}
 
 
 def test_usage_errors_exit_1():
@@ -190,6 +216,22 @@ def test_equivalence_orbit_and_representative():
     rep = class_representative(20, -3)
     assert (rep.alpha, rep.beta) == (20, 13)
     assert class_id_of(20, -3) == "20:13" == class_id_of(20, -7)
+
+
+def test_pipeline_builds_two_families(monkeypatch):
+    # One for the corollary check, one for the lattice build, which the
+    # cross-check reads back off the graph.
+    calls = []
+
+    def counting(prof):
+        calls.append(prof)
+        return normalized_family(prof)
+
+    monkeypatch.setattr(lfk.lspace, "normalized_family", counting)
+    monkeypatch.setattr(lfk.floer, "normalized_family", counting)
+    rep = TwoBridge(20, -3)
+    assert _pipeline(rep, class_id_of(20, -3), True, 2).survivor
+    assert len(calls) == 2
 
 
 def test_family_links_cover_reversal_forms():

@@ -4,17 +4,18 @@ import pytest
 
 import lfk.floer
 import lfk.lspace
-from conftest import split_union_with_unknot
+from conftest import knot_one_negated, split_union_with_unknot
 from lfk.bridge import TwoBridge, signature
 from lfk.cli import family_links
 from lfk.cubes import GradedVS, corner_homology
-from lfk.errors import HypothesisNotMet, NotLSpaceLink, UnsupportedComponents
+from lfk.errors import HypothesisNotMet, NotLSpaceLink
 from lfk.floer import (alternating_cross_check, build_tgraph, hfl_hat,
                        hfl_minus)
 from lfk.laurent import MultiLaurent
-from lfk.lspace import (LinkProfile, box_points, cor_alex2_check, m_vector,
-                        normalized_family, theorem_alex_check, theorem_sum,
-                        two_bridge_profile, unknot_profile, unlink_profile)
+from lfk.lspace import (LinkProfile, box_points, cor_alex2_check, default_box,
+                        m_vector, normalized_family, theorem_alex_check,
+                        theorem_sum, two_bridge_profile, unknot_profile,
+                        unlink_profile)
 
 
 def vs(*pairs):
@@ -117,6 +118,44 @@ def test_one_family_per_build(monkeypatch):
         calls.clear()
         build_tgraph(prof)
         assert len(calls) == 1, prof.to_json()
+
+
+def test_corner_tables_only_compare_several_builds(monkeypatch):
+    # Each profile has one sign assignment that builds, so none computes a
+    # homology table: the pinned b(20,-3), its auto-sign form, and the
+    # three-component unlink with knot 1 negated and every flag auto, whose
+    # vanishing polynomials have no sign to try.
+    calls = []
+    real = lfk.floer._corner_table
+    monkeypatch.setattr(lfk.floer, "_corner_table",
+                        lambda tg: calls.append(tg) or real(tg))
+    for prof in (fixed_profile(20, -3), two_bridge_profile(TwoBridge(20, -3)),
+                 knot_one_negated(unlink_profile(3))):
+        build_tgraph(prof)
+    assert calls == []
+
+
+def test_margin_resolves_alike_for_every_box(monkeypatch):
+    prof = fixed_profile(20, -3)
+    monkeypatch.setenv("LFK_MARGIN", "4")
+    box = ((-10, 12), (-10, 12))
+    assert theorem_alex_check(prof).box == default_box(prof) == box
+    assert build_tgraph(prof).box == box
+    for fn in (theorem_alex_check, default_box, build_tgraph):
+        with pytest.raises(ValueError, match="at least 2"):
+            fn(prof, margin=1)
+
+
+def test_off_coset_box_edges_widen_outward():
+    # b(20,-3) lives on even doubled coordinates: an odd edge moves out
+    # by one step of the doubled lattice, i.e. down for lo and up for hi.
+    prof = fixed_profile(20, -3)
+    for box, on_lattice in ((((-8, 9), (-8, 8)), ((-8, 10), (-8, 8))),
+                            (((-7, 7), (-7, 7)), ((-8, 8), (-8, 8)))):
+        tg = build_tgraph(prof, box=box)
+        want = build_tgraph(prof, box=on_lattice)
+        assert tg.box == on_lattice
+        assert tg.to_json() == want.to_json() and tg.g == want.g
 
 
 def test_wrong_arity_box_is_refused():
