@@ -8,6 +8,7 @@ machine-readable JSON reason on standard output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -19,9 +20,8 @@ from .bridge import TwoBridge, equivalence_orbit, even_expansion, signature
 from .cubes import CubeLabeling, corner_homology, oracle_corner_homology
 from .errors import LfkError, NotLSpaceLink, UnsupportedForm
 from .floer import alternating_cross_check, build_tgraph, hfl_hat, hfl_minus
-from .lspace import (CorReport, LinkProfile, cor_alex2_check,
-                     normalized_family, resolve_margin, theorem_alex_check,
-                     two_bridge_profile)
+from .lspace import (LinkProfile, cor_alex2_check, normalized_family,
+                     resolve_margin, theorem_alex_check, two_bridge_profile)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -129,11 +129,13 @@ def _pipeline(rep: TwoBridge, cid: str, fam: bool,
               margin: int) -> SweepRecord:
     exp = even_expansion(rep)
     prof = two_bridge_profile(exp)
-    prof, cor = _resolve_two_bridge_sign(prof)
+    cor = cor_alex2_check(prof)
     if cor.sign is None:
         corv = "fail:" + (cor.failures[0][3] if cor.failures else "no sign")
         return SweepRecord(rep.alpha, rep.beta, exp.p, exp.q, corv,
                            "skipped", "skipped", fam, cid)
+    # Pin the sign the record states; the build skips the one that fails.
+    prof = prof.with_signs({prof.full(): cor.sign})
     try:
         tg = build_tgraph(prof, margin=margin)
     except NotLSpaceLink:
@@ -221,14 +223,6 @@ def _profile_from_args(args) -> LinkProfile:
     return two_bridge_profile(_expansion_from(args)[1])
 
 
-def _resolve_two_bridge_sign(prof: LinkProfile) -> tuple[LinkProfile, CorReport]:
-    """Pin the sign of Delta when exactly one passes; return the report too."""
-    rep = cor_alex2_check(prof)
-    if rep.sign is not None:
-        prof = prof.with_signs({prof.full(): rep.sign})
-    return prof, rep
-
-
 def _add_link_args(sub, profile_ok=True):
     inputs = sub.add_mutually_exclusive_group()
     inputs.add_argument("--ab", nargs=2, type=int, metavar=("ALPHA", "BETA"),
@@ -269,7 +263,9 @@ def _reject(reason: str, detail=None) -> int:
 def _cmd_alex(args) -> int:
     link, exp = _expansion_from(args)
     prof = two_bridge_profile(exp)
-    prof, rep = _resolve_two_bridge_sign(prof)
+    sign = cor_alex2_check(prof).sign
+    if sign is not None:
+        prof = prof.with_signs({prof.full(): sign})
     fam = normalized_family(prof)
     out = {
         "alpha": link.alpha, "beta": link.beta,
@@ -277,7 +273,7 @@ def _cmd_alex(args) -> int:
         "linking_number": prof.lkval(1, 2),
         "delta": prof.delta[prof.full()].to_json(),
         "p_empty": fam.p_empty.to_json(),
-        "sign": {1: "+", -1: "-"}.get(rep.sign),
+        "sign": {1: "+", -1: "-"}.get(sign),
     }
     print(json.dumps(out))
     return EXIT_OK
@@ -285,13 +281,11 @@ def _cmd_alex(args) -> int:
 
 def _cmd_check(args) -> int:
     """Pass when some sign assignment passes the two-component corollary
-    and the theorem check, as build_tgraph tries every assignment.  Else
-    reject with the first theorem failure, or when no assignment passes the
-    corollary, with the first assignment's corollary failure."""
+    and the theorem check, searching the assignments as build_tgraph does.
+    Else reject with the first theorem failure, or when no assignment passes
+    the corollary, with the first assignment's corollary failure."""
     prof = _profile_from_args(args)
     margin = resolve_margin(args.margin)
-    if prof.l == 2:
-        prof, _ = _resolve_two_bridge_sign(prof)
     cor_fail = thm_fail = None
     for cand in prof.assignments():
         if cand.l == 2:
@@ -314,16 +308,12 @@ def _cmd_check(args) -> int:
 
 def _cmd_tgraph(args) -> int:
     prof = _profile_from_args(args)
-    if prof.l == 2:
-        prof, _ = _resolve_two_bridge_sign(prof)
     print(json.dumps(build_tgraph(prof, margin=args.margin).to_json()))
     return EXIT_OK
 
 
 def _cmd_hfl(args) -> int:
     prof = _profile_from_args(args)
-    if prof.l == 2:
-        prof, _ = _resolve_two_bridge_sign(prof)
     table = hfl_minus(prof, margin=args.margin)
     out = table.to_json()
     if args.hat:
@@ -363,9 +353,11 @@ def _cmd_cube(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    records = classify(args.max_alpha, margin=args.margin)
-    if args.out:
-        with open(args.out, "w") as fh:
+    # Open first, so a bad path fails early; "a" spares an old file on error.
+    with (open(args.out, "a") if args.out else contextlib.nullcontext()) as fh:
+        records = classify(args.max_alpha, margin=args.margin)
+        if fh:
+            fh.truncate(0)
             fh.write(records_to_csv(records))
     summary = classification_summary(records)
     summary["out"] = args.out

@@ -31,8 +31,8 @@ class UnsupportedForm(LfkError):
 
 # -- cubes ------------------------------------------------------------------
 
-class IncompleteLabels(LfkError):
-    """An edge-labeling map is missing edges."""
+class IncompleteLabels(LfkError, ValueError):
+    """An edge-labeling map is missing edges; a usage error."""
 
 
 class InvalidLabeling(LfkError):
@@ -43,8 +43,8 @@ class DimensionUnsupported(LfkError):
     """Corner homology is not determined by edge labels in this dimension."""
 
 
-class OddGrading(LfkError):
-    """Origin gradings must be even."""
+class OddGrading(LfkError, ValueError):
+    """Origin gradings must be even; a usage error."""
 
 
 class NoValidExtension(LfkError):
@@ -70,10 +70,6 @@ class RegionUnstable(LfkError):
 class NotLSpaceLink(LfkError):
     """The lattice graph construction is obstructed; the input cannot be an
     L-space link."""
-
-
-class AmbiguousSign(LfkError):
-    """Distinct admissible sign choices produce different homology tables."""
 
 
 class HypothesisNotMet(LfkError):

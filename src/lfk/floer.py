@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .cubes import (CubeLabeling, GradedVS, _corner_from_grading_key,
                     complete_subgraph, euler_char, vertices)
-from .errors import AmbiguousSign, HypothesisNotMet, NotLSpaceLink, RegionUnstable
+from .errors import HypothesisNotMet, NotLSpaceLink, RegionUnstable
 from .laurent import MultiLaurent, TailPoly
 from .lspace import (LinkProfile, NormalizedFamily, _box, _checked_box,
                      _corner, _hull, box_points, normalized_family,
@@ -116,30 +116,27 @@ def build_tgraph(prof: LinkProfile, box=None, margin=None,
                  sweep_order: str = "sum") -> TGraph:
     """Construct the labeled lattice graph for a profile.
 
-    Sign flags marked "auto" are resolved by trying every assignment: the
-    builds that succeed must all induce the same homology table, which is
-    then the answer; disagreement raises AmbiguousSign and total failure
-    raises the last assignment's NotLSpaceLink.  An explicit box needs one
-    range per component; it is widened to the lattice and to the default
-    box.
+    Sign flags marked "auto" are resolved by trying the profile's sign
+    assignments in order: the first that builds is the answer, and when
+    none builds the last one's NotLSpaceLink is raised.  At most one
+    assignment can build.  Take two and let M be a smallest sublink on
+    which they differ: both build every field below M identically, so M's
+    field gets identical gradings up to the first cube whose target is
+    +-c with c != 0.  Each branch of that cube's completion has Euler
+    characteristic a or a +- 1, so c and -c cannot both match; for a knot
+    M, the top tail coefficient cannot be both c and -c in {0, 1}.  An
+    explicit box needs one range per component; it is widened to the
+    lattice and to the default box.
     """
     margin = resolve_margin(margin)
     if box:
         box = _checked_box(prof, box)
-    built = []
     for candidate in prof.assignments():
         try:
-            built.append(_build_resolved(candidate, box, margin, sweep_order))
+            return _build_resolved(candidate, box, margin, sweep_order)
         except NotLSpaceLink as err:
             failure = err
-    if not built:
-        raise failure
-    if len(built) > 1:
-        tables = [_corner_table(tg) for tg in built]
-        if any(t != tables[0] for t in tables[1:]):
-            raise AmbiguousSign(
-                "distinct sign assignments give different homology tables")
-    return built[0]
+    raise failure
 
 
 def _build_resolved(prof, box, margin, sweep_order) -> TGraph:

@@ -1,7 +1,8 @@
+import itertools
 import random
 
 from lfk.laurent import MultiLaurent
-from lfk.lspace import LinkProfile
+from lfk.lspace import LinkProfile, subsets_of
 
 
 def rand_poly(rng: random.Random, nvars=2, max_terms=8, span=4, parity=None):
@@ -23,6 +24,26 @@ def rand_nonzero(rng, **kw):
         p = rand_poly(rng, **kw)
         if not p.is_zero():
             return p
+
+
+def random_profile(rng, l):
+    """Random linking numbers and random sublink polynomials (often
+    vanishing, rarely symmetric) on the forced cosets; the components of a
+    link are unknotted, and a lone knot is random and nonzero."""
+    if l == 1:
+        return LinkProfile(1, ((0,),), {frozenset({1}): rand_nonzero(
+            rng, nvars=1, max_terms=4, span=3, parity=(0,))})
+    lk = [[0] * l for _ in range(l)]
+    for i, j in itertools.combinations(range(l), 2):
+        lk[i][j] = lk[j][i] = rng.randint(-2, 2)
+    delta = {}
+    for m in subsets_of(l, nonempty=True):
+        comps = sorted(m)
+        parity = tuple((1 + sum(lk[i - 1][j - 1] for j in comps)) & 1
+                       for i in comps)
+        delta[m] = (MultiLaurent.const(1, 1) if len(m) == 1 else
+                    rand_poly(rng, len(m), max_terms=4, span=3, parity=parity))
+    return LinkProfile(l, lk, delta)
 
 
 def knot_one_negated(prof):

@@ -182,6 +182,44 @@ def test_alexander_symmetry():
         assert inv == shifted or inv == -shifted, link
 
 
+def fox_alexander(link):
+    """Delta of b(alpha, beta) by Fox calculus, a second route to the
+    recursion: the Schubert form <a, b | a w a^-1 w^-1> with
+    w = b^e1 a^e2 ... b^e(alpha-1) and e_i = (-1)^floor(i beta / alpha);
+    the derivative by b, abelianised by a -> t1 and b -> t2, is
+    (t1 - 1) Delta up to a unit."""
+    alpha, beta = link.alpha, link.beta
+    w = [(i % 2, (-1) ** (i * beta // alpha)) for i in range(1, alpha)]
+    relator = [(0, 1)] + w + [(0, -1)] + [(g, -e) for g, e in reversed(w)]
+    terms = {}
+    pos = [0, 0]            # doubled exponents of the prefix's image
+    for gen, e in relator:  # gen 1 is b, gen 0 is a
+        if e < 0:
+            pos[gen] -= 2
+        if gen == 1:
+            terms[tuple(pos)] = terms.get(tuple(pos), 0) + e
+        if e > 0:
+            pos[gen] += 2
+    return exact_div(MultiLaurent(2, terms),
+                     MultiLaurent(2, {(2, 0): 1, (0, 0): -1}))
+
+
+def _up_to_unit(p):
+    """p times the +-monomial that puts its minimum exponents at 0 and makes
+    its leading coefficient positive."""
+    p = p.shifted((-p.min_exp2(1), -p.min_exp2(2)))
+    return -p if p.terms[max(p.terms)] < 0 else p
+
+
+def test_alexander_matches_fox_calculus():
+    count = 0
+    for link in all_links(60):
+        assert _up_to_unit(fox_alexander(link)) == \
+            _up_to_unit(alexander_of(link)), link
+        count += 1
+    assert count == 746
+
+
 def test_degree_bounds():
     rng = random.Random(13)
     exps = [EvenExpansion((p1,), ()) for p1 in (-4, -1, 1, 4)]

@@ -6,15 +6,17 @@ import sys
 import pytest
 
 import lfk
+import lfk.cli
 import lfk.floer
 import lfk.lspace
 from conftest import knot_one_negated
 from lfk.bridge import TwoBridge
-from lfk.cli import (SweepRecord, _pipeline, class_id_of, class_representative,
-                     classify, classification_summary, equivalence_orbit,
-                     family_links, main, records_from_csv, records_to_csv)
-from lfk.lspace import (normalized_family, two_bridge_profile, unknot_profile,
-                        unlink_profile)
+from lfk.cli import (SweepRecord, _pipeline, all_candidates, class_id_of,
+                     class_representative, classify, classification_summary,
+                     equivalence_orbit, family_links, main, records_from_csv,
+                     records_to_csv)
+from lfk.lspace import (cor_alex2_check, normalized_family, two_bridge_profile,
+                        unknot_profile, unlink_profile)
 
 
 # The directory lfk was imported from, so the subprocess finds the same copy.
@@ -141,6 +143,62 @@ def test_check_tries_every_sign_assignment_as_tgraph_does(tmp_path, capsys):
         assert main(["tgraph", "--profile", str(path)]) == 0
         tgraph = json.loads(capsys.readouterr().out)
         assert check == {"ok": True, "box": tgraph["box"]}
+
+
+def test_pinned_wrong_sign_is_refused(tmp_path, capsys):
+    # Delta of b(20,-3) stored with the sign the corollary rejects, and its
+    # flag pinned: every command honours the pin and refuses the profile.
+    prof = two_bridge_profile(TwoBridge(20, -3))
+    wrong = prof.with_signs({prof.full(): -cor_alex2_check(prof).sign})
+    path = tmp_path / "wrong.json"
+    path.write_text(json.dumps(wrong.to_json()))
+    reasons = {}
+    for cmd in ("check", "tgraph", "hfl"):
+        assert main([cmd, "--profile", str(path)]) == 2, cmd
+        reasons[cmd] = json.loads(capsys.readouterr().out)["reason"]
+    assert reasons["check"].startswith("cor_alex2: ")
+    assert reasons["tgraph"] == reasons["hfl"] == (
+        "NotLSpaceLink: neither dichotomy branch at (4, 4) matches "
+        "coefficient 1")
+
+
+def test_check_and_tgraph_agree_on_candidates(capsys):
+    for link in all_candidates(30):
+        ab = ["--ab", str(link.alpha), str(link.beta)]
+        assert main(["check", *ab]) == main(["tgraph", *ab]), link
+        capsys.readouterr()
+
+
+def test_malformed_cube_is_a_usage_error(capsys):
+    # an incomplete labeling, an odd origin grading, a non-unit edge
+    for argv in (["--labels", "00->10:1"],
+                 ["--labels", "all1", "--origin", "1"],
+                 ["--labels", "00->11:1"]):
+        assert main(["cube", "--n", "2", *argv]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: "), argv
+        assert captured.out == "", argv
+
+
+def test_classify_out_is_opened_before_the_sweep(tmp_path, capsys,
+                                                 monkeypatch):
+    # An existing file survives a failed sweep and is replaced by a good one.
+    out = tmp_path / "sweep.csv"
+    out.write_text("old\n" * 1000)
+    assert main(["classify", "--max-alpha", "1", "--out", str(out)]) == 1
+    assert out.read_text() == "old\n" * 1000
+    assert main(["classify", "--max-alpha", "4", "--out", str(out)]) == 0
+    assert records_from_csv(out.read_text()) == classify(4)
+    capsys.readouterr()
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the output was opened")
+
+    monkeypatch.setattr(lfk.cli, "classify", no_sweep)
+    missing = tmp_path / "missing" / "sweep.csv"
+    assert main(["classify", "--max-alpha", "60", "--out", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_usage_errors_exit_1():

@@ -1,14 +1,15 @@
 import math
+import random
 
 import pytest
 
 import lfk.floer
 import lfk.lspace
-from conftest import knot_one_negated, split_union_with_unknot
+from conftest import knot_one_negated, random_profile, split_union_with_unknot
 from lfk.bridge import TwoBridge, signature
-from lfk.cli import family_links
+from lfk.cli import all_candidates, family_links
 from lfk.cubes import GradedVS, corner_homology
-from lfk.errors import HypothesisNotMet, NotLSpaceLink
+from lfk.errors import HypothesisNotMet, NotLSpaceLink, RegionUnstable
 from lfk.floer import (alternating_cross_check, build_tgraph, hfl_hat,
                        hfl_minus)
 from lfk.laurent import MultiLaurent
@@ -121,10 +122,10 @@ def test_one_family_per_build(monkeypatch):
 
 
 def test_corner_tables_only_compare_several_builds(monkeypatch):
-    # Each profile has one sign assignment that builds, so none computes a
-    # homology table: the pinned b(20,-3), its auto-sign form, and the
-    # three-component unlink with knot 1 negated and every flag auto, whose
-    # vanishing polynomials have no sign to try.
+    # A build computes no homology table, whichever assignment builds: the
+    # pinned b(20,-3), its auto-sign form, and the three-component unlink
+    # with knot 1 negated and every flag auto, whose vanishing polynomials
+    # have no sign to try.
     calls = []
     real = lfk.floer._corner_table
     monkeypatch.setattr(lfk.floer, "_corner_table",
@@ -133,6 +134,56 @@ def test_corner_tables_only_compare_several_builds(monkeypatch):
                  knot_one_negated(unlink_profile(3))):
         build_tgraph(prof)
     assert calls == []
+
+
+def test_search_stops_at_first_build(monkeypatch):
+    # b(20,-3) stored with the right signs and every flag auto: the first
+    # of its 8 assignments keeps every stored polynomial, and builds.
+    b20 = fixed_profile(20, -3)
+    want = build_tgraph(b20).to_json()
+    auto = LinkProfile(2, b20.lk, b20.delta)
+    assert len(list(auto.assignments())) == 8
+    calls = []
+    real = lfk.floer._build_resolved
+    monkeypatch.setattr(lfk.floer, "_build_resolved",
+                        lambda *args: calls.append(args) or real(*args))
+    assert build_tgraph(auto).to_json() == want
+    assert len(calls) == 1
+
+
+def _scrambled(rng, prof):
+    """prof with a random set of its polynomials negated, every flag auto."""
+    return LinkProfile(prof.l, prof.lk, {
+        m: -p if rng.randint(0, 1) else p for m, p in prof.delta.items()})
+
+
+def test_at_most_one_sign_assignment_builds():
+    # The search in build_tgraph may stop at the first build because no
+    # second assignment builds: pinned, each profile below builds at most
+    # once.  Scrambled ones negate a random set of a profile's polynomials.
+    rng = random.Random(8)
+    pairs = [two_bridge_profile(link) for link in all_candidates(30)]
+    unions = [split_union_with_unknot(fixed_profile(a, b))
+              for a, b in ((2, -1), (8, -3), (20, -3))]
+    profiles = [unlink_profile(2), unlink_profile(3),
+                knot_one_negated(unlink_profile(2)),
+                knot_one_negated(unlink_profile(3))]
+    profiles += pairs + [knot_one_negated(p) for p in pairs]
+    profiles += unions + [_scrambled(rng, u) for u in unions]
+    profiles += [_scrambled(rng, rng.choice(pairs)) for _ in range(100)]
+    profiles += [random_profile(rng, l) for l in (1, 2, 3) * 34]
+    built = 0
+    for prof in profiles:
+        builds = 0
+        for cand in prof.assignments():
+            try:
+                build_tgraph(cand)
+                builds += 1
+            except (NotLSpaceLink, RegionUnstable):
+                pass
+        assert builds <= 1, prof.to_json()
+        built += builds
+    assert built > len(profiles) // 3
 
 
 def test_margin_resolves_alike_for_every_box(monkeypatch):

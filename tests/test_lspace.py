@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import random
@@ -6,12 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import rand_poly, split_union_with_unknot
+from conftest import random_profile, split_union_with_unknot
 from lfk.bridge import TwoBridge
 from lfk.errors import CosetViolation, RegionUnstable
 from lfk.laurent import MultiLaurent, TailPoly
 from lfk.lspace import (LinkProfile, box_points, cor_alex2_check, default_box,
-                        m_vector, normalized_family, r_sum, subsets_of,
+                        m_vector, normalized_family, r_sum,
                         theorem_alex_check, theorem_field, theorem_sum,
                         two_bridge_profile, unknot_profile, unlink_profile)
 
@@ -282,22 +281,6 @@ def _recursive_box(prof, margin):
     return tuple(box)
 
 
-def _random_profile(rng, l):
-    """Unknotted components, random linking numbers, and random sublink
-    polynomials (often vanishing, rarely symmetric) on the forced cosets."""
-    lk = [[0] * l for _ in range(l)]
-    for i, j in itertools.combinations(range(l), 2):
-        lk[i][j] = lk[j][i] = rng.randint(-2, 2)
-    delta = {}
-    for m in subsets_of(l, nonempty=True):
-        comps = sorted(m)
-        parity = tuple((1 + sum(lk[i - 1][j - 1] for j in comps)) & 1
-                       for i in comps)
-        delta[m] = (MultiLaurent.const(1, 1) if len(m) == 1 else
-                    rand_poly(rng, len(m), max_terms=4, span=3, parity=parity))
-    return LinkProfile(l, lk, delta)
-
-
 def test_corner_and_box_match_sublink_recursion():
     # m_vector and default_box read every sublink off the link's own
     # family; the recursion over re-indexed sub-profiles is a second route.
@@ -308,7 +291,7 @@ def test_corner_and_box_match_sublink_recursion():
         prof = two_bridge_profile(TwoBridge(alpha, beta))
         profiles += [prof.with_signs({prof.full(): s}) for s in (1, -1)]
     rng = random.Random(6)
-    profiles += [_random_profile(rng, l) for l in (2, 3) * 30]
+    profiles += [random_profile(rng, l) for l in (2, 3) * 30]
     for prof in profiles:
         assert m_vector(prof) == _recursive_corner(prof), prof.to_json()
         for margin in (2, 4):
