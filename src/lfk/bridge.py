@@ -7,9 +7,10 @@ has an all-even continued-fraction expansion
     alpha/beta = 2*p1 + 1/(2*q1 + 1/(... + 1/(2*pn))),
 
 written D(p1, q1, ..., pn).  The two-variable Alexander polynomial is built
-from the expansion by an exact recursion on polynomials F_r; the link
-signature comes from a tridiagonal Goeritz matrix in the families where a
-closed form is available.
+from the expansion by an exact recursion on polynomials F_r.  The link
+signature of every b(alpha, beta) is a sum of signs over 0 < i < alpha;
+exact congruence diagonalization of a symmetric matrix (the tridiagonal
+Goeritz matrices of the families b(qk +- 1, +-k)) is kept as a second route.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NotDivisible, UnsupportedForm, ZeroDenominator
+from .errors import ZeroDenominator
 from .laurent import MultiLaurent, diagonal, exact_div
 
 
@@ -353,52 +354,10 @@ def _tridiag_signature(n: int, corner: int) -> int:
     return sig
 
 
-def _family_matches(link: TwoBridge):
-    """All (sigma_formula, goeritz_matrix, mirror) triples for the oriented
-    families b(qk-1, +-k) and b(q'k+1, +-k) that the link matches without
-    reversing orientations.  The candidates b(alpha, +-k) are read off the
-    link's orbit; q = (alpha +- 1)/k is odd whenever it is an integer."""
-    alpha = link.alpha
-    matches = []
-    for r in equivalence_orbit(alpha, link.beta, reversal=False):
-        sign, k = (1, r) if r < alpha else (-1, 2 * alpha - r)
-        if (alpha + 1) % k == 0:
-            q = (alpha + 1) // k
-            matches.append((sign * (q - 2), (q, 1 - k) if k > 1 else None,
-                            sign))
-        if (alpha - 1) % k == 0:
-            q = (alpha - 1) // k
-            matches.append((sign * q, (q, 1 + k), sign))
-    return matches
-
-
-def signature(link: TwoBridge | None = None, goeritz=None) -> int:
-    """Link signature, for the supported families or an explicit Goeritz
-    matrix.
-
-    For a family member the closed form and the exact diagonalization of the
-    corresponding tridiagonal Goeritz matrix are both computed and must
-    agree; the mirror (negative-beta) family negates the signature.
-    """
-    if goeritz is not None and link is None:
-        return signature_of_matrix(goeritz)
-    if link is None:
-        raise ValueError("need a link or a Goeritz matrix")
-    matches = _family_matches(link)
-    if not matches:
-        if goeritz is not None:
-            return signature_of_matrix(goeritz)
-        raise UnsupportedForm(f"{link} matches no supported signature family")
-    sigmas = set()
-    for sigma, goeritz, sign in matches:
-        if goeritz is not None:
-            diag = _tridiag_signature(*goeritz)
-            if sign < 0:
-                diag = -diag
-            if diag != sigma:
-                raise AssertionError(
-                    f"closed form {sigma} disagrees with Goeritz value {diag}")
-        sigmas.add(sigma)
-    if len(sigmas) != 1:
-        raise AssertionError(f"{link}: inconsistent family signatures {sigmas}")
-    return sigmas.pop()
+def signature(link: TwoBridge) -> int:
+    """Link signature of b(alpha, beta): the sum over 0 < i < alpha of
+    (-1)^floor(i*beta/alpha), in integers.  The mirror b(alpha, -beta)
+    negates it; the tridiagonal Goeritz matrices of the families are an
+    independent route to the same values."""
+    a, b = link.alpha, link.beta
+    return sum(1 - 2 * (i * b // a % 2) for i in range(1, a))

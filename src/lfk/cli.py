@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .bridge import TwoBridge, equivalence_orbit, even_expansion, signature
 from .cubes import CubeLabeling, corner_homology, oracle_corner_homology
-from .errors import LfkError, NotLSpaceLink, UnsupportedForm
+from .errors import LfkError, NotLSpaceLink
 from .floer import alternating_cross_check, build_tgraph, hfl_hat, hfl_minus
 from .lspace import (LinkProfile, cor_alex2_check, normalized_family,
                      resolve_margin, theorem_alex_check, two_bridge_profile)
@@ -141,13 +141,7 @@ def _pipeline(rep: TwoBridge, cid: str, fam: bool,
     except NotLSpaceLink:
         return SweepRecord(rep.alpha, rep.beta, exp.p, exp.q, "pass",
                            "NotLSpaceLink", "skipped", fam, cid)
-    table = hfl_minus(prof, tg)
-    try:
-        sigma = signature(rep)
-    except UnsupportedForm:
-        return SweepRecord(rep.alpha, rep.beta, exp.p, exp.q, "pass", "ok",
-                           "fail:no supported signature family", fam, cid)
-    cross = alternating_cross_check(prof, sigma, table)
+    cross = alternating_cross_check(prof, signature(rep), hfl_minus(prof, tg))
     scv = "pass" if cross.ok else "fail:" + cross.mismatches[0][1]
     return SweepRecord(rep.alpha, rep.beta, exp.p, exp.q, "pass", "ok",
                        scv, fam, cid)
@@ -338,7 +332,7 @@ def _parse_cube_labels(n: int, text: str) -> CubeLabeling:
         src, _, dst = edge.partition("->")
         v = tuple(int(ch) for ch in src.strip())
         w = tuple(int(ch) for ch in dst.strip())
-        diffs = [k for k in range(n) if v[k] != w[k]]
+        diffs = [k for k, (x, y) in enumerate(zip(v, w)) if x != y]
         if len(v) != n or len(w) != n or len(diffs) != 1 or v[diffs[0]] != 0:
             raise ValueError(f"bad edge {part!r}")
         labels[(v, diffs[0] + 1)] = int(val)

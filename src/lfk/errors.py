@@ -25,10 +25,6 @@ class ZeroDenominator(LfkError):
     """A continued-fraction tail evaluated to zero."""
 
 
-class UnsupportedForm(LfkError):
-    """Signature requested for a link outside the supported families."""
-
-
 # -- cubes ------------------------------------------------------------------
 
 class IncompleteLabels(LfkError, ValueError):

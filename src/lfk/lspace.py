@@ -76,6 +76,8 @@ class LinkProfile:
                 raise ValueError(f"delta[{subset_key(m)}] has wrong variable count")
         object.__setattr__(self, "delta", delta)
         signs = {frozenset(k): v for k, v in self.signs.items()}
+        for m in sorted(signs.keys() - want, key=subset_key):
+            raise ValueError(f"sign flag {subset_key(m)!r} names no sublink")
         for m in want:
             signs.setdefault(m, "auto")
         if any(v not in ("+", "-", "auto") for v in signs.values()):
@@ -406,7 +408,12 @@ def resolve_margin(margin: int | None = None) -> int:
     """The box margin: the given value, else the environment variable
     LFK_MARGIN, else 2.  It must be an integer of at least 2."""
     if margin is None:
-        margin = int(os.environ.get("LFK_MARGIN", "2"))
+        text = os.environ.get("LFK_MARGIN", "2")
+        try:
+            margin = int(text)
+        except ValueError:
+            raise ValueError(
+                f"LFK_MARGIN must be an integer, got {text!r}") from None
     if margin < 2:
         raise ValueError("box margin must be at least 2")
     return margin

@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from conftest import rand_nonzero, rand_poly
-from lfk.bridge import (TwoBridge, alexander_of, signature,
-                        signature_of_matrix, tridiagonal_matrix)
+from lfk.bridge import (TwoBridge, _tridiag_signature, alexander_of,
+                        signature, signature_of_matrix, tridiagonal_matrix)
 from lfk.cli import (classification_summary, classify, family_links,
                      records_to_csv)
 from lfk.cubes import (CubeLabeling, GradedVS, corner_homology,
@@ -141,10 +141,10 @@ def test_criterion_6_classification():
 
 
 def test_criterion_7_signature_cross_validation():
-    # signature() itself raises if the closed form ever disagrees with the
-    # exact diagonalization of the matching tridiagonal Goeritz matrix, so
-    # calling it on every family member exercises the cross-validation; the
-    # smaller members are additionally diagonalized here directly.
+    # signature() is a sum of signs; on every family member it must equal
+    # the family's closed form and the band diagonalization of the matching
+    # tridiagonal Goeritz matrix, and on the smaller members the generic
+    # exact diagonalization of that matrix as well.
     t0 = time.perf_counter()
     checked = 0
     for k in range(1, 201, 2):
@@ -157,6 +157,7 @@ def test_criterion_7_signature_cross_validation():
                     continue   # covered by the other family with q' = q - 2
                 assert signature(TwoBridge(alpha, k)) == form
                 assert signature(TwoBridge(alpha, -k)) == -form
+                assert _tridiag_signature(q, corner) == form
                 if q <= 61:
                     assert signature_of_matrix(
                         tridiagonal_matrix(q, corner)) == form

@@ -9,7 +9,7 @@ from lfk.bridge import (EvenExpansion, TwoBridge, alexander, alexander_of,
                         equivalent, even_expansion, F_poly, fraction_of,
                         linking_number, signature, signature_of_matrix,
                         tridiagonal_matrix)
-from lfk.errors import UnsupportedForm, ZeroDenominator
+from lfk.errors import ZeroDenominator
 from lfk.laurent import MultiLaurent, exact_div
 
 
@@ -294,7 +294,7 @@ def test_diagonal_identities_random():
 def test_signature_examples():
     assert signature(TwoBridge(8, 3)) == 1
     assert signature(TwoBridge(4, 3)) == 1
-    assert signature(goeritz=tridiagonal_matrix(5, 4)) == 5
+    assert signature_of_matrix(tridiagonal_matrix(5, 4)) == 5
     assert signature(TwoBridge(20, -3)) == -5
     assert signature(TwoBridge(2, 1)) == 1
     assert signature(TwoBridge(2, -1)) == -1
@@ -326,7 +326,7 @@ def _scanned_signature(link):
     """The family signature by scanning every odd k < alpha for a member
     b(alpha, +-k) equivalent to the link by the congruences
     beta' = beta or beta * beta' = 1 mod 2*alpha; None outside the
-    families.  A second route to signature()."""
+    families.  A second route to signature() wherever it applies."""
     alpha, m = link.alpha, 2 * link.alpha
     sigmas = set()
     for k in range(1, alpha, 2):
@@ -346,16 +346,21 @@ def _scanned_signature(link):
 def test_signature_matches_family_scan():
     for link in all_links(200):
         want = _scanned_signature(link)
-        if want is None:
-            with pytest.raises(UnsupportedForm):
-                signature(link)
-        else:
+        if want is not None:
             assert signature(link) == want, link
 
 
-def test_signature_unsupported_form():
-    with pytest.raises(UnsupportedForm):
-        signature(TwoBridge(12, 5))
+def test_signature_is_an_invariant_of_every_link():
+    # b(12,5) and most other links lie outside the families
+    assert signature(TwoBridge(12, 5)) == 3
+    for link in all_links(200):
+        alpha, sigma = link.alpha, signature(link)
+        assert type(sigma) is int and sigma % 2 == 1, link
+        assert abs(sigma) < alpha, link
+        assert signature(TwoBridge(alpha, -link.beta)) == -sigma, link
+        for r in equivalence_orbit(alpha, link.beta, reversal=False):
+            beta = r if r < alpha else r - 2 * alpha
+            assert signature(TwoBridge(alpha, beta)) == sigma, (link, beta)
 
 
 def test_signature_of_matrix_basics():

@@ -79,6 +79,11 @@ def test_malformed_profile_is_a_usage_error(tmp_path, capsys):
     payloads = {"{}": "'l'", '{"l": 2}': "'lk'", "[1]": "JSON object",
                 '{"l": 2, "lk": [[0, 1], [1, 0]], "delta": {"1": 5}}':
                     "'delta'"}
+    # a sign flag for component 3 of a two-component link, auto or pinned
+    data = two_bridge_profile(TwoBridge(20, -3)).to_json()
+    for flag in ("auto", "+"):
+        data["signs"]["3"] = flag
+        payloads[json.dumps(data)] = "'3'"
     for i, (text, name) in enumerate(payloads.items()):
         path = tmp_path / f"prof{i}.json"
         path.write_text(text)
@@ -170,10 +175,12 @@ def test_check_and_tgraph_agree_on_candidates(capsys):
 
 
 def test_malformed_cube_is_a_usage_error(capsys):
-    # an incomplete labeling, an odd origin grading, a non-unit edge
+    # an incomplete labeling, an odd origin grading, a non-unit edge, edges
+    # of the wrong length
     for argv in (["--labels", "00->10:1"],
                  ["--labels", "all1", "--origin", "1"],
-                 ["--labels", "00->11:1"]):
+                 ["--labels", "00->11:1"], ["--labels", "0->10:1"],
+                 ["--labels", "000->100:1"]):
         assert main(["cube", "--n", "2", *argv]) == 1, argv
         captured = capsys.readouterr()
         assert captured.err.startswith("error: "), argv
@@ -215,11 +222,12 @@ def test_margin_env_override():
     assert rc == 0
     small = run_cli("tgraph", "--ab", "8", "-3")[1]
     assert json.loads(out)["box"] != json.loads(small)["box"]
-    for bad in ("1", "abc"):
+    for bad, why in (("1", "error: box margin must be at least 2"),
+                     ("abc", "error: LFK_MARGIN must be an integer, got 'abc'")):
         for cmd in ("check", "tgraph"):
             rc, _, err = run_cli(cmd, "--ab", "8", "-3",
                                  env={"LFK_MARGIN": bad})
-            assert rc == 1 and "error" in err, (cmd, bad)
+            assert rc == 1 and why in err, (cmd, bad)
 
 
 def test_margin_below_two_is_refused(capsys):
