@@ -17,7 +17,8 @@ import sys
 from dataclasses import dataclass
 
 from .bridge import TwoBridge, equivalence_orbit, even_expansion, signature
-from .cubes import CubeLabeling, corner_homology, oracle_corner_homology
+from .cubes import (CubeLabeling, check_dimension, corner_homology,
+                    oracle_corner_homology)
 from .errors import LfkError, NotLSpaceLink
 from .floer import alternating_cross_check, build_tgraph, hfl_hat, hfl_minus
 from .lspace import (LinkProfile, cor_alex2_check, normalized_family,
@@ -231,8 +232,7 @@ def _add_link_args(sub, profile_ok=True):
 def _expansion_from(args):
     from .bridge import EvenExpansion, fraction_of
     if args.exp:
-        entries = [int(x) for x in args.exp.replace("(", "").replace(")", "")
-                   .split(",") if x.strip()]
+        entries = _int_list("--exp", args.exp.replace("(", "").replace(")", ""))
         exp = EvenExpansion(tuple(entries[0::2]), tuple(entries[1::2]))
         alpha, beta = fraction_of(exp)
         return TwoBridge(alpha, beta), exp
@@ -241,6 +241,14 @@ def _expansion_from(args):
         return link, even_expansion(link)
     raise ValueError("need --ab or --exp"
                      + (" or --profile" if "profile" in args else ""))
+
+
+def _int_list(option: str, text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ValueError(f"{option} takes comma-separated integers, "
+                         f"got {text!r}") from None
 
 
 def _reject(reason: str, detail=None) -> int:
@@ -311,7 +319,7 @@ def _cmd_hfl(args) -> int:
     table = hfl_minus(prof, margin=args.margin)
     out = table.to_json()
     if args.hat:
-        s2 = tuple(int(x) for x in args.hat.split(","))
+        s2 = tuple(_int_list("--hat", args.hat))
         from .errors import HypothesisNotMet
         try:
             out["hat"] = {"s2": list(s2), "groups": hfl_hat(table, s2).to_json()}
@@ -322,6 +330,7 @@ def _cmd_hfl(args) -> int:
 
 
 def _parse_cube_labels(n: int, text: str) -> CubeLabeling:
+    check_dimension(n)
     if text == "all0":
         return CubeLabeling.all_zero(n)
     if text == "all1":
@@ -330,12 +339,15 @@ def _parse_cube_labels(n: int, text: str) -> CubeLabeling:
     for part in text.split(","):
         edge, _, val = part.strip().partition(":")
         src, _, dst = edge.partition("->")
-        v = tuple(int(ch) for ch in src.strip())
-        w = tuple(int(ch) for ch in dst.strip())
-        diffs = [k for k, (x, y) in enumerate(zip(v, w)) if x != y]
-        if len(v) != n or len(w) != n or len(diffs) != 1 or v[diffs[0]] != 0:
-            raise ValueError(f"bad edge {part!r}")
-        labels[(v, diffs[0] + 1)] = int(val)
+        try:
+            v = tuple(int(ch) for ch in src.strip())
+            w = tuple(int(ch) for ch in dst.strip())
+            diffs = [k for k, (x, y) in enumerate(zip(v, w)) if x != y]
+            if len(v) != n or len(w) != n or len(diffs) != 1 or v[diffs[0]]:
+                raise ValueError
+            labels[(v, diffs[0] + 1)] = int(val)
+        except ValueError:
+            raise ValueError(f"bad edge {part!r}") from None
     return CubeLabeling(n, labels)
 
 

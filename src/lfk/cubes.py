@@ -5,7 +5,8 @@ eps to eps + e_j).  A labeling is valid when it comes from vertex gradings:
 an even top grading at each vertex that every edge raises by twice its
 label.  Valid labelings are exactly the ones realized by towers F[U] at the
 vertices with inclusion maps that either preserve or raise the top grading
-by 2, and every invariant below is read off those gradings.
+by 2, and every invariant below is read off those gradings, the completion
+of a cube (its origin graded from its other vertices) included.
 
 The corner homology of such a configuration (the total homology of the
 iterated quotient at the far corner) is computed two independent ways:
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (DimensionUnsupported, IncompleteLabels, InvalidLabeling,
-                     NoValidExtension, OddGrading, TruncationUnstable)
+                     OddGrading, TruncationUnstable)
 
 Vertex = tuple[int, ...]
 Edge = tuple[Vertex, int]  # (source vertex, 1-based direction), source bit 0
@@ -42,11 +43,6 @@ def edges(n: int) -> list[Edge]:
             if v[j - 1] == 0:
                 out.append((v, j))
     return out
-
-
-def _head(edge: Edge) -> Vertex:
-    v, j = edge
-    return v[:j - 1] + (1,) + v[j:]
 
 
 @dataclass(frozen=True)
@@ -99,14 +95,19 @@ class GradedVS:
                 for g, m in sorted(self.dims, reverse=True)]
 
 
+def check_dimension(n: int):
+    """Refuse a cube dimension outside 1..4, the range labelings support."""
+    if not 1 <= n <= 4:
+        raise ValueError(f"cube dimension must be 1..4, got {n}")
+
+
 class CubeLabeling:
     """A complete 0/1 edge labeling of the directed n-cube."""
 
     __slots__ = ("n", "labels")
 
     def __init__(self, n: int, labels):
-        if not 1 <= n <= 4:
-            raise ValueError(f"cube dimension must be 1..4, got {n}")
+        check_dimension(n)
         want = set(edges(n))
         got = {(tuple(v), j): int(val) for (v, j), val in dict(labels).items()}
         if set(got) != want:
@@ -144,14 +145,16 @@ class CubeLabeling:
         return hash(self.key())
 
     def __repr__(self):
-        body = ", ".join(
-            f"{''.join(map(str, v))}->{''.join(map(str, _head((v, j))))}:{val}"
-            for (v, j), val in sorted(self.labels.items()))
+        def bits(v):
+            return "".join(map(str, v))
+        body = ", ".join(f"{bits(v)}->{bits(v[:j - 1] + (1,) + v[j:])}:{val}"
+                         for (v, j), val in sorted(self.labels.items()))
         return f"CubeLabeling({self.n}; {body})"
 
 
-def vertex_gradings(cl: CubeLabeling, origin: int = 0) -> dict[Vertex, int]:
-    """Top grading at each vertex: origin plus twice the path label sum.
+def vertex_gradings(cl: CubeLabeling, origin: int = 0) -> tuple[int, ...]:
+    """Top grading at each vertex, in ``vertices`` order: origin plus twice
+    the path label sum.
 
     Raises InvalidLabeling when the sum depends on the path, that is, when
     the labeling is not valid.
@@ -170,7 +173,7 @@ def vertex_gradings(cl: CubeLabeling, origin: int = 0) -> dict[Vertex, int]:
         if len(vals) != 1:
             raise InvalidLabeling("labels violate square-face consistency")
         g[v] = vals.pop()
-    return g
+    return tuple(g[v] for v in vertices(cl.n))
 
 
 def validate(cl: CubeLabeling) -> bool:
@@ -196,10 +199,11 @@ def facet(cl: CubeLabeling, axis: int, side: int) -> CubeLabeling:
     return CubeLabeling(cl.n - 1, out)
 
 
-def euler_char(cl: CubeLabeling) -> int:
-    """Euler characteristic of the corner, read off the vertex gradings."""
-    g = vertex_gradings(cl)
-    return _euler(cl.n, tuple(g[v] for v in vertices(cl.n)))
+def euler_char(n: int, gradings) -> int:
+    """Euler characteristic of the corner of the n-cube whose vertices carry
+    the given gradings, listed in ``vertices`` order."""
+    g0 = gradings[0]
+    return _euler(n, tuple(x - g0 for x in gradings))
 
 
 @lru_cache(maxsize=None)
@@ -283,8 +287,7 @@ def corner_homology(cl: CubeLabeling, origin: int = 0) -> GradedVS:
     if cl.n >= 4:
         raise DimensionUnsupported(
             "corner homology is not determined by edge labels for n >= 4")
-    g = vertex_gradings(cl, origin)
-    gkey = tuple(g[v] - origin for v in vertices(cl.n))
+    gkey = tuple(x - origin for x in vertex_gradings(cl, origin))
     return _corner_from_grading_key(cl.n, gkey).shifted(origin)
 
 
@@ -297,7 +300,7 @@ def oracle_corner_homology(cl: CubeLabeling, origin: int = 0) -> GradedVS:
     elimination over GF(2).  The window is widened until homology vanishes at
     its two lowest reliable gradings.
     """
-    g = vertex_gradings(cl, origin)
+    g = dict(zip(vertices(cl.n), vertex_gradings(cl, origin)))
     lo = origin - 2
     hi = origin + 2 * cl.n + 4
     for _ in range(3):
@@ -350,49 +353,37 @@ def _truncated_total_homology(n, g, dlo, dhi) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class Completion:
-    """Result of extending a labeling to the edges leaving the origin."""
+    """The gradings the origin of a cube can take, given its other vertices."""
 
-    unique: CubeLabeling | None = None
-    dichotomy: tuple[CubeLabeling, CubeLabeling] | None = None
+    origins: tuple[int, ...]
 
     @property
     def is_unique(self) -> bool:
-        return self.unique is not None
+        return len(self.origins) == 1
 
 
-def complete_subgraph(n: int, partial) -> Completion:
-    """Extend labels given on all edges except those leaving the origin.
+def complete_subgraph(n: int, upper) -> Completion:
+    """Grade the origin of the n-cube from the gradings of its other
+    2^n - 1 vertices, listed in ``vertices`` order.
 
-    The square face at the origin spanned by e_1 and e_j forces the label
-    b_j of the origin edge in direction j to be b_1 + L(e_1 -> e_1 + e_j)
-    - L(e_j -> e_1 + e_j), so only b_1 = 0 and b_1 = 1 are candidates.
-    Either the extension is forced, or both candidates are consistent, and
-    then they are the all-0 and all-1 origin extensions; an inconsistent
-    partial labeling raises NoValidExtension.
+    Every edge must raise the grading by 0 or 2, so the origin grading g0
+    satisfies g(e_j) - g0 in {0, 2} for every j.  Any two g(e_j) lie within
+    2 of each other, below the common vertex e_i + e_j, so with u the
+    largest of them a completion always exists: g0 = u - 2 when they
+    differ, and either u or u - 2 (the all-0 and all-1 origin extensions)
+    when they are all equal.
     """
-    origin = (0,) * n
-    origin_edges = [(origin, j) for j in range(1, n + 1)]
-    want = set(edges(n)) - set(origin_edges)
-    got = {(tuple(v), j): int(val) for (v, j), val in dict(partial).items()}
-    if set(got) != want:
+    g = (None, *upper)   # g[a] grades the vertex whose bits spell a
+    if len(g) != 2 ** n:
         raise IncompleteLabels(
-            "partial labeling must cover exactly the non-origin edges")
-    if any(val not in (0, 1) for val in got.values()):
-        raise ValueError("edge labels must be 0 or 1")
-    units = [_head(e) for e in origin_edges]
-    found = []
-    for b1 in (0, 1):
-        bits = [b1] + [b1 + got[(units[0], j)] - got[(units[j - 1], 1)]
-                       for j in range(2, n + 1)]
-        if all(b in (0, 1) for b in bits):
-            cand = CubeLabeling(n, {**got, **dict(zip(origin_edges, bits))})
-            if validate(cand):
-                found.append(cand)
-    if not found:
-        raise NoValidExtension("no consistent completion exists")
-    if len(found) == 1:
-        return Completion(unique=found[0])
-    return Completion(dichotomy=tuple(found))
+            "need the gradings of exactly the non-origin vertices")
+    for a in range(1, 2 ** n):
+        for b in (1 << k for k in range(n)):
+            if not a & b and g[a | b] - g[a] not in (0, 2):
+                raise ValueError("edge labels must be 0 or 1")
+    units = [g[1 << k] for k in range(n)]
+    u = max(units)
+    return Completion((u, u - 2) if min(units) == u else (u - 2,))
 
 
 def enumerate_valid_labelings(n: int) -> list[CubeLabeling]:

@@ -28,7 +28,7 @@ class ZeroDenominator(LfkError):
 # -- cubes ------------------------------------------------------------------
 
 class IncompleteLabels(LfkError, ValueError):
-    """An edge-labeling map is missing edges; a usage error."""
+    """A cube's edge labels or vertex gradings are missing; a usage error."""
 
 
 class InvalidLabeling(LfkError):
@@ -41,10 +41,6 @@ class DimensionUnsupported(LfkError):
 
 class OddGrading(LfkError, ValueError):
     """Origin gradings must be even; a usage error."""
-
-
-class NoValidExtension(LfkError):
-    """A partial labeling admits no consistent completion."""
 
 
 class TruncationUnstable(LfkError):

@@ -12,10 +12,10 @@ in one downward pass per sublink, all in the link's coordinates:
   the field of the sublink with component i removed, which is built the
   same way from its own family entry; a single component's field is read
   off its tail;
-* inside, the cube at s is completed from the gradings of its other
-  vertices; the unique completion, or the all-0/all-1 branch whose Euler
-  characteristic matches the coefficient of the normalized polynomial at s,
-  fixes g(s - 1);
+* inside, the origin s - 1 of the cube at s is graded from the gradings
+  of the cube's other vertices: of the at most two completions, the one
+  whose Euler characteristic matches the coefficient of the normalized
+  polynomial at s fixes g(s - 1);
 * afterwards the labels one step below the box must repeat.
 
 The construction refuses inputs for which no consistent field exists: such
@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cubes import (CubeLabeling, GradedVS, _corner_from_grading_key,
-                    complete_subgraph, euler_char, vertices)
+from .cubes import (GradedVS, _corner_from_grading_key, complete_subgraph,
+                    euler_char, vertices)
 from .errors import HypothesisNotMet, NotLSpaceLink, RegionUnstable
 from .laurent import MultiLaurent, TailPoly
 from .lspace import (LinkProfile, NormalizedFamily, _box, _checked_box,
@@ -75,9 +75,6 @@ class TGraph:
                 for p in sorted(self.g) for j in range(1, self.l + 1)
                 if p[j - 1] > self.store_lo[j - 1]}
 
-    def g_at(self, p2) -> int:
-        return self.g[tuple(min(x, hi) for x, hi in zip(p2, self.store_hi))]
-
     def cube_gradings(self, s2) -> tuple[int, tuple]:
         """The origin grading of the unit cube at s2 (whose vertices must be
         stored) and the gradings of its 2^l vertices relative to it, in
@@ -85,20 +82,6 @@ class TGraph:
         gs = [self.g[tuple(x - 2 + 2 * e for x, e in zip(s2, eps))]
               for eps in vertices(self.l)]
         return gs[0], tuple(x - gs[0] for x in gs)
-
-    def cube_at(self, s2) -> tuple[CubeLabeling, int]:
-        """The unit-cube labeling at a lattice point plus its origin grading."""
-        s2 = tuple(s2)
-        lab = {}
-        for eps in vertices(self.l):
-            for j in range(1, self.l + 1):
-                if eps[j - 1]:
-                    continue
-                p = tuple(s2[k] - 2 + 2 * eps[k] + (2 if k == j - 1 else 0)
-                          for k in range(self.l))
-                lab[(eps, j)] = self.label_at(p, j)
-        origin = self.g_at(tuple(x - 2 for x in s2))
-        return CubeLabeling(self.l, lab), origin
 
     def to_json(self) -> dict:
         pts = list(box_points(self.box))
@@ -128,18 +111,29 @@ def build_tgraph(prof: LinkProfile, box=None, margin=None,
     explicit box needs one range per component; it is widened to the
     lattice and to the default box.
     """
+    if sweep_order not in _SWEEP_ORDERS:
+        raise ValueError(f"unknown sweep order {sweep_order!r}")
+    order = _SWEEP_ORDERS[sweep_order]
     margin = resolve_margin(margin)
     if box:
         box = _checked_box(prof, box)
     for candidate in prof.assignments():
         try:
-            return _build_resolved(candidate, box, margin, sweep_order)
+            return _build_resolved(candidate, box, margin, order)
         except NotLSpaceLink as err:
             failure = err
     raise failure
 
 
-def _build_resolved(prof, box, margin, sweep_order) -> TGraph:
+# Orders of the interior sweep by point; each visits a cube after every cube
+# that holds its other vertices as origins.
+_SWEEP_ORDERS = {
+    "sum": lambda s: (-sum(s), tuple(-x for x in s)),
+    "lex": lambda s: tuple(-x for x in s),
+}
+
+
+def _build_resolved(prof, box, margin, order) -> TGraph:
     fam = normalized_family(prof)
     user_box = _box(fam, frozenset(), margin)
     if box:
@@ -147,13 +141,13 @@ def _build_resolved(prof, box, margin, sweep_order) -> TGraph:
         cosets = [prof.coset_parity(i) for i in range(1, prof.l + 1)]
         user_box = _hull(user_box, [(lo - (lo - c) % 2, hi + (hi - c) % 2)
                                     for (lo, hi), c in zip(box, cosets)])
-    g = _field(fam, frozenset(), user_box, margin, sweep_order)
+    g = _field(fam, frozenset(), user_box, margin, order)
     return TGraph(prof.l, user_box, _corner(fam, frozenset()), g, fam,
                   tuple(lo - 4 for lo, _ in user_box),
                   tuple(hi for _, hi in user_box))
 
 
-def _field(fam, s_set, box, margin, sweep_order) -> dict:
+def _field(fam, s_set, box, margin, order) -> dict:
     """g of the sublink L - S over its box and two steps below it, keyed by
     points on the components outside S in the link's coordinates; fam[S]
     gives the Euler characteristics of its cubes."""
@@ -181,7 +175,7 @@ def _field(fam, s_set, box, margin, sweep_order) -> dict:
     for pos, i in enumerate(j for j in range(1, fam.l + 1) if j not in s_set):
         sub_box = _hull(_box(fam, s_set | {i}, margin),
                         rect[:pos] + rect[pos + 1:])
-        subs.append(_field(fam, s_set | {i}, sub_box, margin, sweep_order))
+        subs.append(_field(fam, s_set | {i}, sub_box, margin, order))
 
     # Stable prefill: on the slab p_i >= m_i the grading is that of the
     # sublink without component i, read at the same point.  Where slabs i
@@ -195,51 +189,31 @@ def _field(fam, s_set, box, margin, sweep_order) -> dict:
                 break
 
     # Interior sweep: the cube at s has its origin s - 1 below every slab;
-    # its other vertices are graded before it, so the cube's non-origin
-    # labels are known, and the completion the Euler characteristic selects
-    # grades the origin.  Labels taken from one grading field are consistent
-    # on every face, so a completion always exists.  Every other cube lies
-    # in a slab, where g is constant along the slab direction and the
-    # coefficient is 0, so its Euler characteristic holds as well.
+    # its other vertices are graded before it, and of its completions the
+    # one whose Euler characteristic matches the coefficient grades the
+    # origin.  Every other cube lies in a slab, where g is constant along
+    # the slab direction and the coefficient is 0, so its Euler
+    # characteristic holds as well.
     sweep_box = tuple((lo + 2, m) for (lo, _), m in zip(rect, m2))
-    pts = list(box_points(sweep_box))
-    if sweep_order == "sum":
-        pts.sort(key=lambda s: (-sum(s), tuple(-x for x in s)))
-    elif sweep_order == "lex":
-        pts.sort(key=lambda s: tuple(-x for x in s))
-    else:
-        raise ValueError(f"unknown sweep order {sweep_order!r}")
-
     verts = vertices(l)
-    origin_vertex = verts[0]
-    for s in pts:
+    for s in sorted(box_points(sweep_box), key=order):
         cube = [tuple(x - 2 + 2 * e for x, e in zip(s, eps)) for eps in verts]
-        partial = {}
-        for eps, v in zip(verts[1:], cube[1:]):
-            for j in range(l):
-                if not eps[j]:
-                    up = v[:j] + (v[j] + 2,) + v[j + 1:]
-                    partial[(eps, j + 1)] = (g[up] - g[v]) // 2
+        upper = tuple(g[v] for v in cube[1:])
         target = p0.coeff(s)
-        comp = complete_subgraph(l, partial)
-        if comp.is_unique:
-            chosen = comp.unique
-            if euler_char(chosen) != target:
+        comp = complete_subgraph(l, upper)
+        for g0 in comp.origins:
+            chi = euler_char(l, (g0, *upper))
+            if chi == target:
+                g[cube[0]] = g0
+                break
+        else:
+            if comp.is_unique:
                 raise NotLSpaceLink(
                     f"forced cube at {s} has Euler characteristic "
-                    f"{euler_char(chosen)}, need coefficient {target}")
-        else:
-            lab0, lab1 = comp.dichotomy
-            if euler_char(lab0) == target:
-                chosen = lab0
-            elif euler_char(lab1) == target:
-                chosen = lab1
-            else:
-                raise NotLSpaceLink(
-                    f"neither dichotomy branch at {s} matches "
-                    f"coefficient {target}")
-        # verts[1] is the unit vector e_l
-        g[cube[0]] = g[cube[1]] - 2 * chosen.label(origin_vertex, l)
+                    f"{chi}, need coefficient {target}")
+            raise NotLSpaceLink(
+                f"neither dichotomy branch at {s} matches "
+                f"coefficient {target}")
     _verify_bottom_stability(g, box)
     return g
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+from lfk.cubes import CubeLabeling, vertices
 from lfk.laurent import MultiLaurent
 from lfk.lspace import LinkProfile, subsets_of
 
@@ -68,3 +69,16 @@ def split_union_with_unknot(pair_profile):
         {m: "+" for m in
          (frozenset({1}), frozenset({2}), frozenset({3}), frozenset({1, 2}),
           frozenset({1, 3}), frozenset({2, 3}), frozenset({1, 2, 3}))})
+
+
+def cube_at(tg, s2):
+    """The unit-cube labeling at a box point, read edge by edge off the
+    graph's total label lookup, and the grading of the cube's origin."""
+    lab = {}
+    for eps in vertices(tg.l):
+        for j in range(1, tg.l + 1):
+            if not eps[j - 1]:
+                p = tuple(x - 2 + 2 * e + 2 * (k == j - 1)
+                          for k, (x, e) in enumerate(zip(s2, eps)))
+                lab[(eps, j)] = tg.label_at(p, j)
+    return CubeLabeling(tg.l, lab), tg.g[tuple(x - 2 for x in s2)]

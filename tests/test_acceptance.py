@@ -12,14 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import rand_nonzero, rand_poly
+from conftest import cube_at, rand_nonzero, rand_poly
 from lfk.bridge import (TwoBridge, _tridiag_signature, alexander_of,
                         signature, signature_of_matrix, tridiagonal_matrix)
 from lfk.cli import (classification_summary, classify, family_links,
                      records_to_csv)
 from lfk.cubes import (CubeLabeling, GradedVS, corner_homology,
                        enumerate_valid_labelings, euler_char, facet,
-                       oracle_corner_homology)
+                       oracle_corner_homology, vertex_gradings)
 from lfk.errors import DimensionUnsupported, NotLSpaceLink
 from lfk.floer import build_tgraph, hfl_minus
 from lfk.laurent import MultiLaurent, diagonal, exact_div
@@ -119,8 +119,9 @@ def test_criterion_5_euler_coherence():
         p0 = normalized_family(prof).p_empty
         assert table.euler_series() == p0, link
         for s, v in table.table.items():
-            cube, _ = tg.cube_at(s)
-            assert euler_char(cube) == p0.coeff(s) == v.euler(), (link, s)
+            cube, _ = cube_at(tg, s)
+            chi = euler_char(tg.l, vertex_gradings(cube))
+            assert chi == p0.coeff(s) == v.euler(), (link, s)
     assert built > 0
     _verdict(5, f"Euler identity on all {built} buildable profiles, alpha<=60",
              t0, 120.0)

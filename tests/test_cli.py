@@ -187,6 +187,30 @@ def test_malformed_cube_is_a_usage_error(capsys):
         assert captured.out == "", argv
 
 
+def test_bad_integers_name_their_option(capsys):
+    for argv, why in (
+            (["hfl", "--ab", "20", "-3", "--hat", "a,b"],
+             "error: --hat takes comma-separated integers, got 'a,b'"),
+            (["tgraph", "--exp", "1,x"],
+             "error: --exp takes comma-separated integers, got '1,x'"),
+            (["cube", "--n", "2", "--labels", "00->10"],
+             "error: bad edge '00->10'"),
+            (["cube", "--n", "2", "--labels", "0a->10:1"],
+             "error: bad edge '0a->10:1'")):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert why in captured.err and captured.out == "", argv
+
+
+def test_cube_dimension_is_checked_first(capsys):
+    for n in ("-1", "0", "5"):
+        for labels in ("all0", "all1", "00->10:1"):
+            assert main(["cube", "--n", n, "--labels", labels]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"error: cube dimension must be 1..4, got {n}\n"), (n, labels)
+
+
 def test_classify_out_is_opened_before_the_sweep(tmp_path, capsys,
                                                  monkeypatch):
     # An existing file survives a failed sweep and is replaced by a good one.

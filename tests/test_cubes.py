@@ -7,9 +7,9 @@ import pytest
 from lfk.cubes import (Completion, CubeLabeling, GradedVS, complete_subgraph,
                        corner_homology, edges, enumerate_valid_labelings,
                        euler_char, facet, oracle_corner_homology, validate,
-                       vertex_gradings)
+                       vertex_gradings, vertices)
 from lfk.errors import (DimensionUnsupported, IncompleteLabels,
-                        InvalidLabeling, NoValidExtension, OddGrading)
+                        InvalidLabeling, OddGrading)
 
 
 def square(a, b, c, d):
@@ -34,6 +34,21 @@ def faces_agree(cl):
                                  != cl.label(v, j) + cl.label(up(v, j), i)):
                 return False
     return True
+
+
+def upper_gradings(n, partial):
+    """Gradings of the non-origin vertices, in ``vertices`` order, that the
+    labels on the edges between them give (0 at the far corner), or None
+    when those labels disagree around a square face."""
+    g = {(1,) * n: 0}
+    for v in sorted(vertices(n)[1:], key=sum, reverse=True):
+        j = v.index(0) + 1 if 0 in v else None
+        if j is not None:
+            g[v] = g[up(v, j)] - 2 * partial[(v, j)]
+    for (v, j), val in partial.items():
+        if g[up(v, j)] - g[v] != 2 * val:
+            return None
+    return tuple(g[v] for v in vertices(n)[1:])
 
 
 def labelings_from_gradings(n):
@@ -76,37 +91,44 @@ def test_incomplete_labels():
 
 
 def test_euler_char_base_case():
-    assert euler_char(CubeLabeling(1, {((0,), 1): 0})) == 0
-    assert euler_char(CubeLabeling(1, {((0,), 1): 1})) == 1
+    assert euler_char(1, vertex_gradings(CubeLabeling(1, {((0,), 1): 0}))) == 0
+    assert euler_char(1, vertex_gradings(CubeLabeling(1, {((0,), 1): 1}))) == 1
+    # only differences of gradings count
+    assert euler_char(1, (-6, -4)) == euler_char(1, (10, 12)) == 1
 
 
 def test_euler_char_dichotomy_relation():
-    # Extending the same subgraph by all-0 vs all-1 origin edges changes the
-    # Euler characteristic by (-1)^n.
-    for n in (2, 3):
+    # Grading the same upper vertices over an origin at u vs u - 2 (all-0 vs
+    # all-1 origin edges) changes the Euler characteristic by (-1)^n.
+    for n in (1, 2, 3):
         for cl in enumerate_valid_labelings(n):
-            partial = {e: v for e, v in cl.labels.items() if e[0] != (0,) * n}
-            comp = complete_subgraph(n, partial)
+            upper = vertex_gradings(cl)[1:]
+            comp = complete_subgraph(n, upper)
             if comp.is_unique:
                 continue
-            lab0, lab1 = comp.dichotomy
-            assert euler_char(lab0) == euler_char(lab1) + (-1) ** n
+            g0, g1 = comp.origins
+            assert g0 == g1 + 2
+            assert (euler_char(n, (g0, *upper))
+                    == euler_char(n, (g1, *upper)) + (-1) ** n)
 
 
 def test_euler_char_all_zero_n3():
-    assert euler_char(CubeLabeling.all_zero(3)) == 0
+    assert euler_char(3, vertex_gradings(CubeLabeling.all_zero(3))) == 0
 
 
 def test_euler_matches_homology():
     for n in (1, 2, 3):
         for cl in enumerate_valid_labelings(n):
-            assert corner_homology(cl, 0).euler() == euler_char(cl)
+            chi = euler_char(n, vertex_gradings(cl))
+            assert corner_homology(cl, 0).euler() == chi, cl
+            assert oracle_corner_homology(cl, 0).euler() == chi, cl
     # For n = 4 the labels do not determine the homology, but they do
     # determine its Euler characteristic, which the oracle also computes.
     four = list(labelings_from_gradings(4))
     assert len(four) == 990
     for cl in four:
-        assert oracle_corner_homology(cl, 0).euler() == euler_char(cl), cl
+        assert (oracle_corner_homology(cl, 0).euler()
+                == euler_char(4, vertex_gradings(cl))), cl
 
 
 def test_corner_homology_single_edge():
@@ -168,60 +190,75 @@ def test_invalid_labeling_refused():
     with pytest.raises(InvalidLabeling):
         corner_homology(bad, 0)
     with pytest.raises(InvalidLabeling):
-        euler_char(bad)
+        euler_char(2, vertex_gradings(bad))
 
 
 def test_vertex_gradings_well_defined():
     for n in (2, 3):
         for cl in enumerate_valid_labelings(n):
-            g = vertex_gradings(cl, 0)
+            g = dict(zip(vertices(n), vertex_gradings(cl, 0)))
+            assert g[(0,) * n] == 0
             for (v, j), val in cl.labels.items():
                 w = v[:j - 1] + (1,) + v[j:]
                 assert g[w] - g[v] == 2 * val
 
 
 def test_complete_subgraph_unique():
-    partial = {((1, 0), 2): 1, ((0, 1), 1): 0}
-    comp = complete_subgraph(2, partial)
+    # labels 10->11: 1 and 01->11: 0 grade (01, 10, 11) as (0, -2, 0)
+    comp = complete_subgraph(2, (0, -2, 0))
     assert comp.is_unique
-    assert comp.unique.label((0, 0), 1) == 0
-    assert comp.unique.label((0, 0), 2) == 1
+    assert comp == Completion((-2,))
 
 
 def test_complete_subgraph_dichotomy():
-    comp = complete_subgraph(2, {((1, 0), 2): 0, ((0, 1), 1): 0})
+    comp = complete_subgraph(2, (0, 0, 0))
     assert not comp.is_unique
-    lab0, lab1 = comp.dichotomy
-    assert lab0 == CubeLabeling.all_zero(2)
-    assert lab1.label((0, 0), 1) == 1 and lab1.label((0, 0), 2) == 1
+    assert comp.origins == (0, -2)
+    assert vertex_gradings(CubeLabeling.all_zero(2)) == (0, 0, 0, 0)
+    assert vertex_gradings(CubeLabeling.all_one(2), -2) == (-2, 0, 0, 2)
 
 
 def test_complete_subgraph_n1_is_dichotomy():
-    comp = complete_subgraph(1, {})
+    comp = complete_subgraph(1, (4,))
     assert not comp.is_unique
+    assert comp.origins == (4, 2)
 
 
 def test_complete_subgraph_inconsistent():
-    # The face of the 3-cube through e1 is itself inconsistent, so no
-    # labeling of the origin edges can repair it.
+    # The face of the 3-cube through e1 is itself inconsistent, so the
+    # labels give no gradings and no origin edges can repair them.
     partial = {e: 0 for e in edges(3) if e[0] != (0, 0, 0)}
     partial[((1, 0, 0), 2)] = 1
-    with pytest.raises(NoValidExtension):
-        complete_subgraph(3, partial)
+    assert upper_gradings(3, partial) is None
+    for bits in itertools.product((0, 1), repeat=3):
+        origin_edges = {((0, 0, 0), j): b for j, b in enumerate(bits, 1)}
+        with pytest.raises(InvalidLabeling):
+            vertex_gradings(CubeLabeling(3, {**partial, **origin_edges}))
+    # Gradings that step by anything but 0 or 2 are refused, and so are
+    # gradings of the wrong number of vertices.
+    for upper in ((0, 0, 0, 0, 0, 0, 4), (0, 0, 0, 0, 0, 2, 0),
+                  (0, 0, 0, 0, 0, 0, 1)):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            complete_subgraph(3, upper)
+    with pytest.raises(IncompleteLabels):
+        complete_subgraph(3, (0, 0, 0))
 
 
 def test_complete_subgraph_matches_enumeration():
     # Independent brute force over all 2^n origin extensions of every
-    # partial labeling, checked face by face; labels -1 and 2 (for n <= 2)
-    # are refused outright.
+    # partial labeling, checked face by face; the completions are exactly
+    # the origin gradings of the extensions it finds.  Labels -1 and 2 (for
+    # n <= 2) are refused outright, and inconsistent partial labelings have
+    # no extension.
     for n, values in ((1, ()), (2, (-1, 0, 1, 2)), (3, (0, 1))):
         origin = (0,) * n
         rest = [e for e in edges(n) if e[0] != origin]
         for vals in itertools.product(values, repeat=len(rest)):
             partial = dict(zip(rest, vals))
+            upper = upper_gradings(n, partial)
             if any(x not in (0, 1) for x in vals):
                 with pytest.raises(ValueError, match="must be 0 or 1"):
-                    complete_subgraph(n, partial)
+                    complete_subgraph(n, upper)
                 continue
             found = []
             for bits in itertools.product((0, 1), repeat=n):
@@ -231,15 +268,13 @@ def test_complete_subgraph_matches_enumeration():
                 cand = CubeLabeling(n, full)
                 if faces_agree(cand):
                     found.append(cand)
-            if not found:
-                with pytest.raises(NoValidExtension):
-                    complete_subgraph(n, partial)
+            if upper is None:
+                assert not found, partial
                 continue
-            comp = complete_subgraph(n, partial)
-            if comp.is_unique:
-                assert found == [comp.unique]
-            else:
-                assert found == list(comp.dichotomy)
+            # each extension's origin grading, with the upper vertices
+            # graded as in upper
+            want = tuple(upper[0] - vertex_gradings(cl)[1] for cl in found)
+            assert complete_subgraph(n, upper).origins == want, partial
 
 
 def test_graded_vs_arithmetic():

@@ -5,7 +5,8 @@ import pytest
 
 import lfk.floer
 import lfk.lspace
-from conftest import knot_one_negated, random_profile, split_union_with_unknot
+from conftest import (cube_at, knot_one_negated, random_profile,
+                      split_union_with_unknot)
 from lfk.bridge import TwoBridge, signature
 from lfk.cli import all_candidates, family_links
 from lfk.cubes import GradedVS, corner_homology
@@ -248,6 +249,18 @@ def test_sweep_order_determinism():
         assert a.labels == b.labels and a.g == b.g
 
 
+def test_unknown_sweep_order_is_refused(monkeypatch):
+    # Refused before anything is built, knots included: their fields never
+    # reach the interior sweep.
+    def no_build(*args):
+        raise AssertionError("built before the sweep order was checked")
+
+    monkeypatch.setattr(lfk.floer, "_build_resolved", no_build)
+    for prof in (unknot_profile(), fixed_profile(20, -3)):
+        with pytest.raises(ValueError, match="unknown sweep order 'bogus'"):
+            build_tgraph(prof, sweep_order="bogus")
+
+
 def test_component_swap_symmetry():
     for alpha, beta in ((20, -3), (14, -3), (8, -3), (4, 3)):
         prof = fixed_profile(alpha, beta)
@@ -307,7 +320,7 @@ def _assert_cube_route(table):
     with corner homology of the unit cube assembled from edge labels."""
     tg = table.tgraph
     for s in box_points(tg.box):
-        assert table.entry(s) == corner_homology(*tg.cube_at(s)), s
+        assert table.entry(s) == corner_homology(*cube_at(tg, s)), s
 
 
 def test_three_component_split_union_factors():
