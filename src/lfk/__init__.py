@@ -9,7 +9,6 @@ an exhaustive sweep.
 """
 
 from .bridge import (EvenExpansion, TwoBridge, alexander, alexander_of,
-                     delta_recursion, diagonal_identities_check,
                      equivalent, even_expansion, F_poly, fraction_of,
                      linking_number, signature)
 from .cubes import (CubeLabeling, GradedVS, complete_subgraph,

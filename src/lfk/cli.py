@@ -212,8 +212,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _profile_from_args(args) -> LinkProfile:
-    if getattr(args, "profile", None):
-        with open(args.profile) as fh:
+    if getattr(args, "profile", None) is not None:
+        try:
+            fh = open(args.profile)
+        except OSError as err:
+            raise ValueError(f"--profile: {err}") from None
+        with fh:
             return LinkProfile.from_json(json.load(fh))
     return two_bridge_profile(_expansion_from(args)[1])
 
@@ -231,12 +235,12 @@ def _add_link_args(sub, profile_ok=True):
 
 def _expansion_from(args):
     from .bridge import EvenExpansion, fraction_of
-    if args.exp:
+    if args.exp is not None:
         entries = _int_list("--exp", args.exp.replace("(", "").replace(")", ""))
         exp = EvenExpansion(tuple(entries[0::2]), tuple(entries[1::2]))
         alpha, beta = fraction_of(exp)
         return TwoBridge(alpha, beta), exp
-    if args.ab:
+    if args.ab is not None:
         link = TwoBridge(args.ab[0], args.ab[1])
         return link, even_expansion(link)
     raise ValueError("need --ab or --exp"
@@ -245,10 +249,13 @@ def _expansion_from(args):
 
 def _int_list(option: str, text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        values = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
+        values = []
+    if not values:
         raise ValueError(f"{option} takes comma-separated integers, "
-                         f"got {text!r}") from None
+                         f"got {text!r}")
+    return values
 
 
 def _reject(reason: str, detail=None) -> int:
@@ -315,11 +322,11 @@ def _cmd_tgraph(args) -> int:
 
 
 def _cmd_hfl(args) -> int:
+    s2 = None if args.hat is None else tuple(_int_list("--hat", args.hat))
     prof = _profile_from_args(args)
     table = hfl_minus(prof, margin=args.margin)
     out = table.to_json()
-    if args.hat:
-        s2 = tuple(_int_list("--hat", args.hat))
+    if s2 is not None:
         from .errors import HypothesisNotMet
         try:
             out["hat"] = {"s2": list(s2), "groups": hfl_hat(table, s2).to_json()}

@@ -215,7 +215,8 @@ def unlink_profile(l: int = 2) -> LinkProfile:
 
 
 def two_bridge_profile(link_or_expansion, sign: str = "auto") -> LinkProfile:
-    """Profile of a two-bridge link: unknotted components, recursion Delta."""
+    """Profile of a two-bridge link: unknotted components, and Delta from
+    the Schubert signs by bridge.alexander."""
     if isinstance(link_or_expansion, TwoBridge):
         exp = even_expansion(link_or_expansion)
     else:

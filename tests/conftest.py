@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
+from dataclasses import dataclass
 
+from lfk.bridge import EvenExpansion, F_poly
 from lfk.cubes import CubeLabeling, vertices
-from lfk.laurent import MultiLaurent
+from lfk.laurent import MultiLaurent, diagonal, exact_div
 from lfk.lspace import LinkProfile, subsets_of
 
 
@@ -82,3 +85,90 @@ def cube_at(tg, s2):
                           for k, (x, e) in enumerate(zip(s2, eps)))
                 lab[(eps, j)] = tg.label_at(p, j)
     return CubeLabeling(tg.l, lab), tg.g[tuple(x - 2 for x in s2)]
+
+
+# -- the Alexander recursion: a second route to bridge.alexander ---------------
+
+
+def _one_minus_u1_u2_factor() -> MultiLaurent:
+    # (u1 - 1)(u2 - 1)
+    return MultiLaurent(2, {(2, 2): 1, (2, 0): -1, (0, 2): -1, (0, 0): 1})
+
+
+def delta_sequence(exp: EvenExpansion) -> list[MultiLaurent]:
+    """The full recursion sequence Delta_0, ..., Delta_n for an expansion.
+
+    Each step multiplies the previous difference by F at the new p-entry and
+    divides exactly by F at the old one; a failed division signals an invalid
+    expansion and propagates NotDivisible.
+    """
+    p, q = exp.p, exp.q
+    seq = [MultiLaurent.zero(2), F_poly(p[0])]
+    w = _one_minus_u1_u2_factor()
+    for k in range(2, exp.n + 1):
+        pk, pk1, qk1 = p[k - 1], p[k - 2], q[k - 2]
+        head = (w * F_poly(pk) * qk1 + MultiLaurent.const(2, 1)) * seq[k - 1]
+        tail = exact_div(F_poly(pk) * (seq[k - 1] - seq[k - 2]), F_poly(pk1))
+        seq.append(head + tail.shifted((2 * pk1, 2 * pk1)))
+    return seq
+
+
+def delta_recursion(exp: EvenExpansion) -> MultiLaurent:
+    """Final polynomial of the recursion (integer exponents, sign as built);
+    shifted by (u1*u2)^((1 - sum p)/2) it is bridge.alexander(exp)."""
+    return delta_sequence(exp)[-1]
+
+
+@dataclass(frozen=True)
+class DiagonalReport:
+    ok: bool
+    first_failure: int | None = None   # doubled diagonal index of first mismatch
+    detail: str = ""
+
+
+def diagonal_identities_check(exp: EvenExpansion) -> DiagonalReport:
+    """Check the two closed forms for the top diagonals of the recursion.
+
+    With q(n) the product of the q-entries and F(n) the product of the F
+    polynomials, the top diagonal n-1 of Delta_n equals
+    q(n) * (-u1)^(n-1) * F(n), and for n >= 2 diagonal n-2 equals the sum of
+    the three explicit polynomials built from partial products.
+    """
+    n = exp.n
+    delta_n = delta_recursion(exp)
+    qprod = math.prod(exp.q) if exp.q else 1
+    fprod = MultiLaurent.const(2, 1)
+    for pi in exp.p:
+        fprod = fprod * F_poly(pi)
+    minus_u1_pow = MultiLaurent.monomial(2, ((n - 1) * 2, 0),
+                                         (-1) ** (n - 1))
+    top = fprod * qprod * minus_u1_pow
+    if diagonal(delta_n, 2 * (n - 1)) != top:
+        return DiagonalReport(False, 2 * (n - 1), "top diagonal mismatch")
+    if n >= 2:
+        upow = MultiLaurent.monomial(2, ((n - 2) * 2, 0), (-1) ** (n - 2))
+        u1u2p1 = MultiLaurent(2, {(2, 2): 1, (0, 0): 1})
+        p1 = u1u2p1 * fprod * qprod * (n - 1) * upow
+        p2 = MultiLaurent.zero(2)
+        for i in range(2, n + 1):
+            p2 = p2 + _partial_product(exp, skip_f=i, skip_q=i - 1) * upow
+        p3 = MultiLaurent.zero(2)
+        for i in range(1, n):
+            shift = (2 * exp.p[i - 1], 2 * exp.p[i - 1])
+            p3 = p3 + (_partial_product(exp, skip_f=i, skip_q=i) * upow).shifted(shift)
+        if diagonal(delta_n, 2 * (n - 2)) != p1 + p2 + p3:
+            return DiagonalReport(False, 2 * (n - 2), "second diagonal mismatch")
+    return DiagonalReport(True)
+
+
+def _partial_product(exp: EvenExpansion, skip_f: int, skip_q: int) -> MultiLaurent:
+    """q(n)/q_{skip_q} * F(n)/F_{p_{skip_f}} as an exact product."""
+    out = MultiLaurent.const(2, 1)
+    for i, pi in enumerate(exp.p, start=1):
+        if i != skip_f:
+            out = out * F_poly(pi)
+    scalar = 1
+    for i, qi in enumerate(exp.q, start=1):
+        if i != skip_q:
+            scalar *= qi
+    return out * scalar

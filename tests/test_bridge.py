@@ -3,12 +3,11 @@ import random
 
 import pytest
 
-from lfk.bridge import (EvenExpansion, TwoBridge, alexander, alexander_of,
-                        delta_recursion, delta_sequence,
-                        diagonal_identities_check, equivalence_orbit,
-                        equivalent, even_expansion, F_poly, fraction_of,
-                        linking_number, signature, signature_of_matrix,
-                        tridiagonal_matrix)
+from conftest import delta_recursion, delta_sequence, diagonal_identities_check
+from lfk.bridge import (EvenExpansion, TwoBridge, _schubert_signs, alexander,
+                        alexander_of, equivalence_orbit, equivalent,
+                        even_expansion, F_poly, fraction_of, linking_number,
+                        signature, signature_of_matrix, tridiagonal_matrix)
 from lfk.errors import ZeroDenominator
 from lfk.laurent import MultiLaurent, exact_div
 
@@ -183,9 +182,9 @@ def test_alexander_symmetry():
 
 
 def fox_alexander(link):
-    """Delta of b(alpha, beta) by Fox calculus, a second route to the
-    recursion: the Schubert form <a, b | a w a^-1 w^-1> with
-    w = b^e1 a^e2 ... b^e(alpha-1) and e_i = (-1)^floor(i beta / alpha);
+    """Delta of b(alpha, beta) by Fox calculus on the whole relator, a
+    second route to alexander_of: the Schubert form <a, b | a w a^-1 w^-1>
+    with w = b^e1 a^e2 ... b^e(alpha-1) and e_i = (-1)^floor(i beta / alpha);
     the derivative by b, abelianised by a -> t1 and b -> t2, is
     (t1 - 1) Delta up to a unit."""
     alpha, beta = link.alpha, link.beta
@@ -211,11 +210,19 @@ def _up_to_unit(p):
     return -p if p.terms[max(p.terms)] < 0 else p
 
 
+def _recursion_alexander(exp):
+    """The test-side recursion, centred as alexander() centres."""
+    shift = 1 - sum(exp.p)
+    return delta_recursion(exp).shifted((shift, shift))
+
+
 def test_alexander_matches_fox_calculus():
+    # Fox calculus up to a unit, and the recursion with the global sign
     count = 0
     for link in all_links(60):
-        assert _up_to_unit(fox_alexander(link)) == \
-            _up_to_unit(alexander_of(link)), link
+        got = alexander_of(link)
+        assert _up_to_unit(fox_alexander(link)) == _up_to_unit(got), link
+        assert got == _recursion_alexander(even_expansion(link)), link
         count += 1
     assert count == 746
 
@@ -224,6 +231,7 @@ def test_degree_bounds():
     rng = random.Random(13)
     exps = [EvenExpansion((p1,), ()) for p1 in (-4, -1, 1, 4)]
     exps += [rand_expansion(rng) for _ in range(200)]
+    checked = 0
     for exp in exps:
         d = delta_recursion(exp)
         ln = sum(exp.p)
@@ -231,11 +239,23 @@ def test_degree_bounds():
         for i in (1, 2):
             assert d.min_exp2(i) == ln - lt
             assert d.max_exp2(i) == ln + lt - 2
+        # alexander() walks all alpha - 1 Schubert signs, so it is checked
+        # where alpha <= 1e5; alpha reaches 1.3e7 here
+        if fraction_of(exp)[0] <= 10 ** 5:
+            assert even_expansion(TwoBridge(*fraction_of(exp))) == exp
+            sym = alexander(exp)
+            assert sym == _recursion_alexander(exp), exp
+            for i in (1, 2):
+                assert sym.min_exp2(i) == 1 - lt
+                assert sym.max_exp2(i) == lt - 1
+            checked += 1
+    assert checked == 155
 
 
 def test_recursion_matches_family_closed_forms():
     # Both single-parameter families have fully expanded closed forms; the
-    # recursion must reproduce them term by term.
+    # recursion must reproduce them term by term, and alexander() them
+    # centred by (u1*u2)^((1 - sum p)/2).
     def family_a(n, w):   # D(-1,1,...,-1,1,w)
         terms = {}
         for i in range(w):
@@ -268,12 +288,22 @@ def test_recursion_matches_family_closed_forms():
             exp_b = EvenExpansion(tuple([1] * (n - 1) + [w]),
                                   tuple([-1] * (n - 1)))
             assert delta_recursion(exp_b) == family_b(n, w)
+            for exp, fam in ((exp_a, family_a), (exp_b, family_b)):
+                shift = 1 - sum(exp.p)
+                assert alexander(exp) == fam(n, w).shifted((shift, shift))
 
 
 def test_linking_number():
     assert linking_number(EvenExpansion((-3, 1), (-1,))) == 2
     assert linking_number(EvenExpansion((1,), ())) == -1
     assert linking_number(EvenExpansion((1, 1), (1,))) == -2
+    # second route: minus the sum of the signs of the Schubert word's b's
+    count = 0
+    for link in all_links(200):
+        signs = list(_schubert_signs(link.alpha, link.beta))
+        assert -sum(signs[0::2]) == linking_number(even_expansion(link)), link
+        count += 1
+    assert count == 8162
 
 
 def test_diagonal_identity_for_d111():

@@ -196,7 +196,18 @@ def test_bad_integers_name_their_option(capsys):
             (["cube", "--n", "2", "--labels", "00->10"],
              "error: bad edge '00->10'"),
             (["cube", "--n", "2", "--labels", "0a->10:1"],
-             "error: bad edge '0a->10:1'")):
+             "error: bad edge '0a->10:1'"),
+            # an empty value is refused, not taken as an absent option
+            (["hfl", "--ab", "20", "-3", "--hat", ""],
+             "error: --hat takes comma-separated integers, got ''"),
+            (["hfl", "--ab", "20", "-3", "--hat", " , "],
+             "error: --hat takes comma-separated integers, got ' , '"),
+            (["alex", "--exp", ""],
+             "error: --exp takes comma-separated integers, got ''"),
+            (["check", "--exp", "()"],
+             "error: --exp takes comma-separated integers, got ''"),
+            (["tgraph", "--profile", ""], "error: --profile: "),
+            (["hfl", "--profile", ""], "error: --profile: ")):
         assert main(argv) == 1, argv
         captured = capsys.readouterr()
         assert why in captured.err and captured.out == "", argv

@@ -175,7 +175,7 @@ def test_theorem_check_screening_matches_reference():
 def test_cor_check_b20():
     prof = two_bridge_profile(TwoBridge(20, -3))
     rep = cor_alex2_check(prof)
-    assert rep.sign == -1          # the raw recursion sign must be flipped
+    assert rep.sign == -1          # the sign alexander() builds must be flipped
     fixed = prof.with_signs({prof.full(): rep.sign})
     assert cor_alex2_check(fixed).ok
     assert cor_alex2_check(fixed).sign == 1
