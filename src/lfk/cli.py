@@ -214,11 +214,13 @@ class _Parser(argparse.ArgumentParser):
 def _profile_from_args(args) -> LinkProfile:
     if getattr(args, "profile", None) is not None:
         try:
-            fh = open(args.profile)
+            with open(args.profile) as fh:
+                data = json.load(fh)
         except OSError as err:
             raise ValueError(f"--profile: {err}") from None
-        with fh:
-            return LinkProfile.from_json(json.load(fh))
+        except ValueError as err:       # not JSON, or not text
+            raise ValueError(f"--profile: {args.profile}: {err}") from None
+        return LinkProfile.from_json(data)
     return two_bridge_profile(_expansion_from(args)[1])
 
 

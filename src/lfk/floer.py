@@ -20,13 +20,16 @@ in one downward pass per sublink, all in the link's coordinates:
 
 The construction refuses inputs for which no consistent field exists: such
 inputs cannot be L-space links.  The homology table assigns to each lattice
-point the corner homology of its unit cube, read off the gradings of the
-cube's vertices.
+point the corner homology of its unit cube; the cube sweep, the corner table
+and the hat groups read g through one set of cube offsets, and the
+alternating cross-check makes one pass over the box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import add
 
 from .cubes import (GradedVS, _corner_from_grading_key, complete_subgraph,
                     euler_char, vertices)
@@ -74,14 +77,6 @@ class TGraph:
         return {(p, j): _g_step(self.g, p, j)
                 for p in sorted(self.g) for j in range(1, self.l + 1)
                 if p[j - 1] > self.store_lo[j - 1]}
-
-    def cube_gradings(self, s2) -> tuple[int, tuple]:
-        """The origin grading of the unit cube at s2 (whose vertices must be
-        stored) and the gradings of its 2^l vertices relative to it, in
-        ``vertices`` order."""
-        gs = [self.g[tuple(x - 2 + 2 * e for x, e in zip(s2, eps))]
-              for eps in vertices(self.l)]
-        return gs[0], tuple(x - gs[0] for x in gs)
 
     def to_json(self) -> dict:
         pts = list(box_points(self.box))
@@ -195,16 +190,16 @@ def _field(fam, s_set, box, margin, order) -> dict:
     # the slab direction and the coefficient is 0, so its Euler
     # characteristic holds as well.
     sweep_box = tuple((lo + 2, m) for (lo, _), m in zip(rect, m2))
-    verts = vertices(l)
+    up = _cube_offsets(l)[1:]
     for s in sorted(box_points(sweep_box), key=order):
-        cube = [tuple(x - 2 + 2 * e for x, e in zip(s, eps)) for eps in verts]
-        upper = tuple(g[v] for v in cube[1:])
+        origin = tuple([x - 2 for x in s])
+        upper = tuple([g[tuple(map(add, origin, d))] for d in up])
         target = p0.coeff(s)
         comp = complete_subgraph(l, upper)
         for g0 in comp.origins:
             chi = euler_char(l, (g0, *upper))
             if chi == target:
-                g[cube[0]] = g0
+                g[origin] = g0
                 break
         else:
             if comp.is_unique:
@@ -216,6 +211,13 @@ def _field(fam, s_set, box, margin, order) -> dict:
                 f"coefficient {target}")
     _verify_bottom_stability(g, box)
     return g
+
+
+@lru_cache(maxsize=None)
+def _cube_offsets(l: int) -> tuple:
+    """The doubled offsets 2 eps of the vertices eps of a unit l-cube from
+    its origin, in ``vertices`` order; the cube at s has origin s - 2."""
+    return tuple(tuple(2 * e for e in eps) for eps in vertices(l))
 
 
 def _g_step(g, p2, j: int) -> int:
@@ -289,11 +291,14 @@ class HFLTable:
 
 def _corner_table(tg: TGraph) -> dict:
     """Corner homology of each box point's unit cube, read off the gradings
-    of its 2^l vertices."""
+    of its 2^l vertices: one column of g over the box per cube offset."""
+    cols = [map(tg.g.__getitem__, box_points(
+                [(lo - 2 + e, hi - 2 + e) for (lo, hi), e in zip(tg.box, d)]))
+            for d in _cube_offsets(tg.l)]
     out = {}
-    for s in box_points(tg.box):
-        origin, rel = tg.cube_gradings(s)
-        out[s] = _corner_from_grading_key(tg.l, rel).shifted(origin)
+    for s, gs in zip(box_points(tg.box), zip(*cols)):
+        rel = tuple([x - gs[0] for x in gs])
+        out[s] = _corner_from_grading_key(tg.l, rel).shifted(gs[0])
     return out
 
 
@@ -313,11 +318,20 @@ def hfl_hat(table: HFLTable, s2) -> GradedVS:
     """
     s2 = tuple(s2)
     here = table.entry(s2)
-    for eps in vertices(table.tgraph.l)[1:]:
-        t = tuple(x + 2 * e for x, e in zip(s2, eps))
-        if not table.entry(t).is_zero():
-            raise HypothesisNotMet(eps)
+    if (eps := _first_nonzero_up(table, s2)) is not None:
+        raise HypothesisNotMet(eps)
     return here
+
+
+def _first_nonzero_up(table: HFLTable, s2):
+    """The first nonzero 0/1 offset eps, in ``vertices`` order, with a
+    nonzero group at s2 + 2 eps (off the box via HFLTable.entry), or None."""
+    tab = table.table
+    for d in _cube_offsets(table.tgraph.l)[1:]:
+        t = tuple(map(add, s2, d))
+        if not (tab[t] if t in tab else table.entry(t)).is_zero():
+            return tuple([x // 2 for x in d])
+    return None
 
 
 @dataclass(frozen=True)
@@ -359,10 +373,9 @@ def alternating_cross_check(prof: LinkProfile, sigma: int,
     mismatches = []
     checked = 0
     for s in box_points(table.box):
-        try:
-            hat = hfl_hat(table, s)
-        except HypothesisNotMet:
+        if _first_nonzero_up(table, s) is not None:
             continue
+        hat = table.table[s]
         checked += 1
         a = derived.coeff(s)
         if len(hat.dims) > 1:

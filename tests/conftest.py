@@ -4,9 +4,11 @@ import random
 from dataclasses import dataclass
 
 from lfk.bridge import EvenExpansion, F_poly
-from lfk.cubes import CubeLabeling, vertices
+from lfk.cubes import CubeLabeling, _corner_from_grading_key, vertices
+from lfk.errors import HypothesisNotMet
+from lfk.floer import CrossReport
 from lfk.laurent import MultiLaurent, diagonal, exact_div
-from lfk.lspace import LinkProfile, subsets_of
+from lfk.lspace import LinkProfile, box_points, subsets_of
 
 
 def rand_poly(rng: random.Random, nvars=2, max_terms=8, span=4, parity=None):
@@ -85,6 +87,65 @@ def cube_at(tg, s2):
                           for k, (x, e) in enumerate(zip(s2, eps)))
                 lab[(eps, j)] = tg.label_at(p, j)
     return CubeLabeling(tg.l, lab), tg.g[tuple(x - 2 for x in s2)]
+
+
+# -- per-point readers: a second route to the corner table and hat groups -----
+
+
+def cube_gradings(tg, s2):
+    """The origin grading of the unit cube at s2 (whose vertices must be
+    stored) and the gradings of its 2^l vertices relative to it, in
+    ``vertices`` order."""
+    gs = [tg.g[tuple(x - 2 + 2 * e for x, e in zip(s2, eps))]
+          for eps in vertices(tg.l)]
+    return gs[0], tuple(x - gs[0] for x in gs)
+
+
+def corner_table_per_point(tg):
+    """The corner table, one box point at a time."""
+    out = {}
+    for s in box_points(tg.box):
+        origin, rel = cube_gradings(tg, s)
+        out[s] = _corner_from_grading_key(tg.l, rel).shifted(origin)
+    return out
+
+
+def hat_per_point(table, s2):
+    """The hat group at s2, every entry read through HFLTable.entry."""
+    s2 = tuple(s2)
+    here = table.entry(s2)
+    for eps in vertices(table.tgraph.l)[1:]:
+        t = tuple(x + 2 * e for x, e in zip(s2, eps))
+        if not table.entry(t).is_zero():
+            raise HypothesisNotMet(eps)
+    return here
+
+
+def cross_check_per_point(sigma, table):
+    """The alternating cross-check of a two-component table with a nonzero
+    polynomial, through hat_per_point at each box point."""
+    derived = (MultiLaurent(2, {(0, 0): 1, (-2, 0): -1})
+               * MultiLaurent(2, {(0, 0): 1, (0, -2): -1})
+               * table.tgraph.family.p_empty)
+    mismatches = []
+    checked = 0
+    for s in box_points(table.box):
+        try:
+            hat = hat_per_point(table, s)
+        except HypothesisNotMet:
+            continue
+        checked += 1
+        a = derived.coeff(s)
+        want = (s[0] + s[1]) // 2 + (sigma - 1) // 2
+        if len(hat.dims) > 1:
+            mismatches.append((s, f"supported in {len(hat.dims)} gradings"))
+        elif hat.total_dim() != abs(a):
+            mismatches.append(
+                (s, f"dimension {hat.total_dim()}, expected {abs(a)}"))
+        elif not hat.is_zero() and hat.dims[0][0] != want:
+            mismatches.append(
+                (s, f"grading {hat.dims[0][0]}, expected {want}"))
+    return CrossReport(not mismatches, tuple(mismatches), checked)
 
 
 # -- the Alexander recursion: a second route to bridge.alexander ---------------

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +93,18 @@ def test_malformed_profile_is_a_usage_error(tmp_path, capsys):
             captured = capsys.readouterr()
             assert captured.err.startswith("error: "), (cmd, text)
             assert name in captured.err and captured.out == "", (cmd, text)
+
+
+def test_profile_that_is_not_json_names_option_and_file(tmp_path, capsys):
+    for text in (b"not json", b"", b"{", b"\xff\xfe"):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        for cmd in ("check", "tgraph", "hfl"):
+            assert main([cmd, "--profile", str(path)]) == 1, (cmd, text)
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: --profile: {path}: "), \
+                (cmd, text, captured.err)
+            assert captured.out == "", (cmd, text)
 
 
 def test_cube_subcommand():
@@ -361,6 +374,13 @@ def test_classify_monotone():
     assert set(r20) <= set(r28)
     for cid, rec in r20.items():
         assert r28[cid] == rec
+
+
+def test_classify_100_matches_pinned_csv():
+    # The CSV carries each record's first cross-check mismatch, so this pins
+    # the order in which the cross-check reports them as well.
+    pinned = Path(__file__).parent / "data" / "sweep100.csv"
+    assert records_to_csv(classify(100)).encode() == pinned.read_bytes()
 
 
 def test_classify_b12_record():

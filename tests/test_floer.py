@@ -5,7 +5,8 @@ import pytest
 
 import lfk.floer
 import lfk.lspace
-from conftest import (cube_at, knot_one_negated, random_profile,
+from conftest import (corner_table_per_point, cross_check_per_point, cube_at,
+                      hat_per_point, knot_one_negated, random_profile,
                       split_union_with_unknot)
 from lfk.bridge import TwoBridge, signature
 from lfk.cli import all_candidates, family_links
@@ -387,3 +388,68 @@ def test_family_members_build_up_to_40():
             assert table.euler_series() == normalized_family(prof).p_empty
             rep = alternating_cross_check(prof, signature(TwoBridge(alpha, -k)))
             assert rep.ok, (alpha, -k, rep.mismatches[:2])
+
+
+def _hat_matches_per_point_route(table, s):
+    """hfl_hat gives the per-point route's group, or refuses at the same
+    offset; returns whether the hypothesis holds at s."""
+    try:
+        want = hat_per_point(table, s)
+    except HypothesisNotMet as err:
+        with pytest.raises(HypothesisNotMet) as exc:
+            hfl_hat(table, s)
+        assert exc.value.offset == err.offset, s
+        return False
+    assert hfl_hat(table, s) == want, s
+    return True
+
+
+def test_one_pass_readers_match_per_point_route_on_two_bridge_links():
+    # The corner table reads g one column per cube offset and the
+    # cross-check reads the hat groups in one pass; the per-point route
+    # reads each cube and each hat group on its own.  Every buildable
+    # (link, sign) pair with alpha <= 60, the cross-check failures included.
+    built, failing = 0, set()
+    for link in all_candidates(60):
+        for sign in (1, -1):
+            prof = two_bridge_profile(link)
+            prof = prof.with_signs({prof.full(): sign})
+            try:
+                tg = build_tgraph(prof)
+            except NotLSpaceLink:
+                continue
+            built += 1
+            table = hfl_minus(prof, tg)
+            assert table.table == corner_table_per_point(tg), (link, sign)
+            sigma = signature(link)
+            rep = alternating_cross_check(prof, sigma, table)
+            assert rep == cross_check_per_point(sigma, table), (link, sign)
+            if not rep.ok:
+                failing.add((link.alpha, link.beta))
+    assert built == 274
+    assert {(4, 1), (8, 3), (10, 3)} <= failing
+
+
+def test_hat_matches_per_point_route():
+    # b(20,-3) over its box, where the hypothesis fails at many points, and
+    # the unlinks of two and three components.
+    for prof in (fixed_profile(20, -3), unlink_profile(2), unlink_profile(3)):
+        table = hfl_minus(prof)
+        held = [_hat_matches_per_point_route(table, s)
+                for s in box_points(table.box)]
+        assert any(held) and not all(held)
+        assert table.table == corner_table_per_point(table.tgraph)
+
+
+def test_one_pass_corner_table_on_split_unions():
+    # The split unions of the three-component benchmark workload (the
+    # unlink, every family member with alpha <= 16, b(20,-3)) at margins 2
+    # and 10.
+    pairs = [unlink_profile(2), fixed_profile(20, -3)]
+    pairs += [fixed_profile(q * k - 1, -k) for k in range(1, 18, 2)
+              for q in range(1, 18, 2) if k < q * k - 1 <= 16]
+    assert len(pairs) == 13
+    for margin in (2, 10):
+        for pair in pairs:
+            table = hfl_minus(split_union_with_unknot(pair), margin=margin)
+            assert table.table == corner_table_per_point(table.tgraph)
