@@ -106,18 +106,13 @@ def fraction_of(expansion) -> tuple[int, int]:
         entries = [2 * int(x) for x in expansion]
         if len(entries) % 2 == 0:
             raise ValueError("interleaved expansion must have odd length")
-    value = None
-    for a in reversed(entries):
-        if value is None:
-            value = Fraction(a)
-        else:
-            if value == 0:
-                raise ZeroDenominator("intermediate continued-fraction tail is 0")
-            value = a + 1 / value
-    alpha, beta = value.numerator, value.denominator
-    if alpha < 0:
-        alpha, beta = -alpha, -beta
-    return alpha, beta
+    # Each continuant step has determinant -1, so num and den stay coprime.
+    num, den = entries[-1], 1
+    for a in reversed(entries[:-1]):
+        if num == 0:
+            raise ZeroDenominator("intermediate continued-fraction tail is 0")
+        num, den = a * num + den, num
+    return abs(num), abs(den) if num * den >= 0 else -abs(den)
 
 
 def even_expansion(link: TwoBridge) -> EvenExpansion:
@@ -131,7 +126,7 @@ def even_expansion(link: TwoBridge) -> EvenExpansion:
     num, den = link.alpha, link.beta
     entries = []
     while True:
-        c = math.floor(Fraction(num, 2 * den) + Fraction(1, 2))
+        c = (num + den) // (2 * den)       # floor(num / (2 den) + 1/2)
         r = num - 2 * c * den
         assert abs(r) < abs(den) and c != 0
         entries.append(c)

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -424,6 +425,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = make_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value like "-4,-4" for an option; attach it to the
+    # --hat or --exp before it, as if written --hat=-4,-4.
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] in ("--hat", "--exp") and re.match(r"-[0-9]", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:

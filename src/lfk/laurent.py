@@ -24,7 +24,13 @@ def _fmt_exp(e2: int) -> str:
 
 
 class MultiLaurent:
-    """Finitely supported integer combination of Laurent monomials."""
+    """Finitely supported integer combination of Laurent monomials.
+
+    Negation, nonzero int scaling, shifted, involution and restrict skip the
+    constructor's validation (through _trusted): they map a valid operand's
+    terms one to one, move every exponent of a variable by one integer or
+    negate them all, and make no coefficient zero, so the result is valid.
+    """
 
     __slots__ = ("nvars", "terms")
 
@@ -45,6 +51,13 @@ class MultiLaurent:
                     f"variable {i + 1} carries exponents from two cosets of Z")
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict) -> MultiLaurent:
+        self = object.__new__(cls)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiLaurent is immutable")
@@ -118,13 +131,14 @@ class MultiLaurent:
         return self + (-other)
 
     def __neg__(self) -> MultiLaurent:
-        return MultiLaurent(self.nvars, {e2: -c for e2, c in self.terms.items()})
+        return MultiLaurent._trusted(
+            self.nvars, {e2: -c for e2, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
             if other == 0:
                 return MultiLaurent.zero(self.nvars)
-            return MultiLaurent(
+            return MultiLaurent._trusted(
                 self.nvars, {e2: c * other for e2, c in self.terms.items()})
         if not isinstance(other, MultiLaurent):
             return NotImplemented
@@ -148,14 +162,14 @@ class MultiLaurent:
         e2 = tuple(int(x) for x in e2)
         if len(e2) != self.nvars:
             raise ValueError("shift vector has wrong length")
-        return MultiLaurent(
+        return MultiLaurent._trusted(
             self.nvars,
             {tuple(a + b for a, b in zip(f2, e2)): c
              for f2, c in self.terms.items()})
 
     def involution(self) -> MultiLaurent:
         """Substitute u_i -> 1/u_i for every variable."""
-        return MultiLaurent(
+        return MultiLaurent._trusted(
             self.nvars,
             {tuple(-x for x in e2): c for e2, c in self.terms.items()})
 
@@ -278,7 +292,7 @@ def restrict(p: MultiLaurent, i: int, j2: int) -> MultiLaurent:
     if i not in (1, 2):
         raise ValueError("variable index must be 1 or 2")
     other = 2 - i  # 0-based index of the surviving variable
-    return MultiLaurent(
+    return MultiLaurent._trusted(
         1, {(e2[other],): c for e2, c in p.terms.items() if e2[i - 1] == j2})
 
 
@@ -348,6 +362,16 @@ class TailPoly:
         if par is None or e2 & 1 != par:
             return 0
         return sum(c for (j2,), c in self.numer.terms.items() if j2 >= e2)
+
+    def coeffs(self, vals) -> list[int]:
+        """coeff at each of the ascending values vals, in one suffix pass."""
+        par, terms = self.numer.parity(1), sorted(self.numer.terms.items())
+        out, total = [], 0
+        for x in reversed(vals):
+            while terms and terms[-1][0][0] >= x:
+                total += terms.pop()[1]
+            out.append(total if x & 1 == par else 0)
+        return out[::-1]
 
     def __repr__(self):
         return f"TailPoly(u{self.var}; numer={self.numer!r})"

@@ -9,7 +9,11 @@ remains.
 
 The checkers evaluate, at every lattice point of a finite box, the signed
 sums of coefficients that must land in {0, 1} for an L-space link, plus the
-sharper alternating-sign conditions available for two components.
+sharper alternating-sign conditions available for two components.  The
+sums are rows along the box's last axis, one per direction and index of the
+other axes, built by whole-row running sums over buckets of each entry's
+terms; the two-component conditions read the normalized polynomial's
+columns and rows as runs of one sort per direction, under both signs.
 """
 
 from __future__ import annotations
@@ -19,12 +23,11 @@ import json
 import operator
 import os
 from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .bridge import (TwoBridge, alexander, even_expansion, linking_number)
 from .errors import CosetViolation, RegionUnstable
-from .laurent import MultiLaurent, TailPoly, restrict
+from .laurent import MultiLaurent, TailPoly
 
 Subset = frozenset
 
@@ -312,60 +315,54 @@ def theorem_sum(fam: NormalizedFamily, point2, r: int) -> int:
 
 
 def theorem_field(fam: NormalizedFamily, grid) -> dict:
-    """Every theorem sum over a grid, in one pass: {(point2, r): value}.
+    """Every theorem sum over a grid, {(point2, r): value}, as a flattening
+    of _theorem_rows.  grid holds one sorted list of doubled values per
+    axis, and the points are their product."""
+    heads = list(itertools.product(*grid[:-1]))
+    return {(head + (x,), r): v
+            for r, rows in enumerate(_theorem_rows(fam, grid), start=1)
+            for head, row in zip(heads, rows.values())
+            for x, v in zip(grid[-1], row)}
 
-    grid holds one sorted list of doubled values per axis; the points are
-    their product.  Each entry's region sums come from running sums taken
-    from the top along each direction other than r, after its terms are
-    bucketed by their exact exponent in direction r and by the last grid
-    value at or below their exponent in every other direction.  A tail
-    entry contributes its coefficient once per grid value.  The value at
-    each point equals theorem_sum(fam, point2, r).
-    """
-    l = fam.l
-    points = list(itertools.product(*grid))
-    values = {}
+
+def _theorem_rows(fam: NormalizedFamily, grid) -> list:
+    """theorem_sum over a grid: per direction r, a dict from each index
+    tuple of the other axes (in product order) to the row along the last
+    axis.  A signed entry term goes into the bucket at its exponent in r,
+    the last grid value at or below it elsewhere outside S, and the top of
+    each axis in S; a tail's terms are its coefficients on r's grid values.
+    Running sums from the top along every axis but r spread the buckets."""
+    l, sizes = fam.l, [len(vals) for vals in grid]
+    heads = list(itertools.product(*map(range, sizes[:-1])))
+    exact = [{x: k for k, x in enumerate(vals)} for vals in grid]
+    out = []
     for r in range(1, l + 1):
-        terms = []
+        rows = {head: [0] * sizes[-1] for head in heads}
         for s in subsets_of(l, proper=True):
             if r in s:
                 continue
-            comp = [j for j in range(1, l + 1) if j not in s]
+            entry, vals = fam.entries[s], grid[r - 1]
+            terms = entry.terms.items() if isinstance(entry, MultiLaurent) \
+                else zip([(x,) for x in vals], entry.coeffs(vals))
+            comp = [j - 1 for j in range(1, l + 1) if j not in s]
             sign = (-1) ** (l - 1 - len(s))
-            sums = _region_sums(fam.entries[s], comp, r, grid)
-            key = operator.itemgetter(*[j - 1 for j in comp])
-            terms.append([sign * sums.get(key(p), 0) for p in points])
-        values.update(zip([(p, r) for p in points], map(sum, zip(*terms))))
-    return values
-
-
-def _region_sums(entry, comp, r, grid) -> dict:
-    """r_sum of one family entry at every grid point, keyed by the point's
-    coordinates on comp (the components outside S, ascending): a tuple, or
-    a bare value for a tail."""
-    if isinstance(entry, TailPoly):
-        return {x: entry.coeff(x) for x in grid[r - 1]}
-    others = [(pos, grid[j - 1]) for pos, j in enumerate(comp) if j != r]
-    sums = defaultdict(int)
-    for e2, c in entry.terms.items():
-        key = list(e2)
-        for pos, vals in others:
-            k = bisect_right(vals, e2[pos]) - 1
-            if k < 0:
-                break           # below the grid: dominates no grid point
-            key[pos] = vals[k]
-        else:
-            sums[tuple(key)] += c
-    for pos, vals in others:
-        running = {}
-        for line in {key[:pos] + key[pos + 1:] for key in sums}:
-            total = 0
-            for x in reversed(vals):
-                key = line[:pos] + (x,) + line[pos:]
-                total += sums.get(key, 0)
-                running[key] = total
-        sums = running
-    return sums
+            for e2, c in terms:
+                idx = [n - 1 for n in sizes]
+                for a, x in zip(comp, e2):
+                    idx[a] = exact[a].get(x, -1) if a == r - 1 else \
+                        bisect_right(grid[a], x) - 1
+                if min(idx) >= 0:       # on the grid in r, not below it
+                    rows[tuple(idx[:-1])][idx[-1]] += sign * c
+        for a in range(l - 1):
+            for head in reversed(heads):
+                if a != r - 1 and head[a] + 1 < sizes[a]:
+                    above = rows[head[:a] + (head[a] + 1,) + head[a + 1:]]
+                    rows[head] = list(map(operator.add, rows[head], above))
+        if r != l:
+            for head, row in rows.items():
+                rows[head] = list(itertools.accumulate(reversed(row)))[::-1]
+        out.append(rows)
+    return out
 
 
 # -- boxes ----------------------------------------------------------------------
@@ -485,8 +482,9 @@ def theorem_alex_check(prof: LinkProfile, box=None,
     Every lattice point and every direction must give a value of 0 or 1.
     Values on the box boundary are compared with their outward neighbors;
     disagreement raises RegionUnstable since the box then failed to capture
-    the stable behavior.  All values come from one theorem_field pass over
-    the box grown by one step, on one normalized family.
+    the stable behavior.  All values come from one _theorem_rows pass over
+    the box grown by one step, on one normalized family; a row within
+    [0, 1], or a face equal to its outward one, is passed whole.
     """
     fam = normalized_family(prof)
     box = _box(fam, frozenset(), resolve_margin(margin)) if box is None \
@@ -494,24 +492,44 @@ def theorem_alex_check(prof: LinkProfile, box=None,
     if any(lo > hi for lo, hi in box):
         raise ValueError(f"box {box} has an axis with lo > hi")
     l = prof.l
-    # The box, its outward neighbours, and an upper edge off the lo coset.
-    val = theorem_field(fam, [sorted({lo - 2, *range(lo, hi + 1, 2), hi, hi + 2})
-                              for lo, hi in box])
-    violations = [(p, r, val[p, r]) for p in box_points(box)
-                  for r in range(1, l + 1) if val[p, r] not in (0, 1)]
+    # The box, its outward neighbours, and an upper edge off the lo coset:
+    # lo - 2 and hi + 2 sit at the ends of each axis, lo and hi next to them.
+    grid = [sorted({lo - 2, *range(lo, hi + 1, 2), hi, hi + 2})
+            for lo, hi in box]
+    rows = _theorem_rows(fam, grid)
+    spans = [range(1, 1 + len(range(lo, hi + 1, 2))) for lo, hi in box]
+    cols = slice(spans[-1].start, spans[-1].stop)
+    violations = []
+    for head in itertools.product(*spans[:-1]):
+        line = [by_r[head] for by_r in rows]
+        if any(min(row[cols]) < 0 or max(row[cols]) > 1 for row in line):
+            at = tuple(vals[i] for vals, i in zip(grid, head))
+            violations += [(at + (grid[-1][k],), r, row[k]) for k in spans[-1]
+                           for r, row in enumerate(line, start=1)
+                           if row[k] not in (0, 1)]
     for axis in range(l):
-        for side, step in ((0, -2), (1, 2)):
-            edge = box[axis][side]
-            face = tuple((edge, edge) if k == axis else b
-                         for k, b in enumerate(box))
-            for point in box_points(face):
-                outward = tuple(x + step if k == axis else x
-                                for k, x in enumerate(point))
-                for r in range(1, l + 1):
-                    if val[point, r] != val[outward, r]:
-                        raise RegionUnstable(
-                            f"value changes stepping outward at {point} "
-                            f"(direction {r}); enlarge the margin")
+        for edge, out in ((1, 0), (len(grid[axis]) - 2, len(grid[axis]) - 1)):
+            face = [range(edge, edge + 1) if a == axis else span
+                    for a, span in enumerate(spans)]
+            ks, last = face[-1], axis == l - 1
+            # Outward along the last axis is another column of the same
+            # rows; along any other axis it is another set of rows.
+            moves = [(h, h if last else h[:axis] + (out,) + h[axis + 1:])
+                     for h in itertools.product(*face[:-1])]
+            shift = out - edge if last else 0
+            if all([by_r[h][ks.start:ks.stop] for h, _ in moves]
+                   == [by_r[t][ks.start + shift:ks.stop + shift]
+                       for _, t in moves] for by_r in rows):
+                continue
+            for h, t in moves:
+                diffs = [(k, r) for r, by_r in enumerate(rows, start=1)
+                         for k in ks if by_r[h][k] != by_r[t][k + shift]]
+                if diffs:
+                    k, r = min(diffs)
+                    at = tuple(vals[i] for vals, i in zip(grid, h + (k,)))
+                    raise RegionUnstable(
+                        f"value changes stepping outward at {at} "
+                        f"(direction {r}); enlarge the margin")
     return TheoremReport(not violations, tuple(violations), tuple(box))
 
 
@@ -545,44 +563,38 @@ def cor_alex2_check(prof: LinkProfile) -> CorReport:
     # The +1 run is the profile as given.  The sign of Delta_L enters the
     # family only through its entry at the empty set.
     fam = normalized_family(prof)
-    runs = {1: _cor_failures(fam, fam.p_empty),
-            -1: _cor_failures(fam, -fam.p_empty)}
+    runs = {1: _cor_failures(fam, 1), -1: _cor_failures(fam, -1)}
     passing = [s for s in (1, -1) if not runs[s]]
     sign = passing[0] if len(passing) == 1 else None
     return CorReport(not runs[1], tuple(runs[1]), sign)
 
 
-def _cor_failures(fam: NormalizedFamily, p0: MultiLaurent):
-    failures = []
-    for e2, c in sorted(p0.terms.items()):
-        if abs(c) > 1:
-            failures.append(("coefficient", 0, list(e2),
-                             f"coefficient {c} at {e2}"))
+def _cor_failures(fam: NormalizedFamily, sign: int):
+    """The clauses failed by sign * P_empty, whose columns (r = 1) or rows
+    (r = 2) are runs of one sort of its terms by (u_r, other) exponent."""
+    terms = sorted(fam.p_empty.terms.items())
+    failures = [("coefficient", 0, list(e2), f"coefficient {sign * c} at {e2}")
+                for e2, c in terms if abs(c) > 1]
     for r in (1, 2):
         tail = fam.entries[frozenset({3 - r})]
         if not tail.numer.is_zero():
-            for er in range(tail.numer.min_exp2(1) - 2,
-                            tail.numer.max_exp2(1) + 3, 2):
-                if tail.coeff(er) not in (0, 1):
-                    failures.append(("tail", r, er,
-                                     f"tail coefficient {tail.coeff(er)}"))
-        exps = sorted({e2[r - 1] for e2 in p0.terms})
-        for er in exps:
-            col = restrict(p0, r, er)
-            if col.is_zero():
-                continue
-            ordered = [c for (_,), c in sorted(col.terms.items())]
-            nz = [c for c in ordered if c]
-            for a, b in zip(nz, nz[1:]):
-                if a * b > 0:
-                    failures.append(("alternation", r, er,
-                                     "equal consecutive signs"))
-                    break
-            t = tail.coeff(er)
+            span = range(tail.numer.min_exp2(1) - 2,
+                         tail.numer.max_exp2(1) + 3, 2)
+            failures += [("tail", r, er, f"tail coefficient {t}")
+                         for er, t in zip(span, tail.coeffs(span))
+                         if t not in (0, 1)]
+        if r == 2:
+            terms.sort(key=lambda term: term[0][::-1])
+        runs = [(er, [sign * c for _, c in run]) for er, run in
+                itertools.groupby(terms, key=lambda term: term[0][r - 1])]
+        for (er, nz), t in zip(runs, tail.coeffs([er for er, _ in runs])):
+            if any(a * b > 0 for a, b in zip(nz, nz[1:])):
+                failures.append(("alternation", r, er,
+                                 "equal consecutive signs"))
             if t not in (0, 1):
                 continue  # reported by the tail-range scan above
             want = 1 if t == 1 else -1
-            if nz and nz[-1] != want:
+            if nz[-1] != want:
                 failures.append(("leading", r, er,
                                  f"top coefficient {nz[-1]}, expected {want}"))
         # tail exponents where the restriction is zero: nothing to check;

@@ -1,14 +1,19 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 from dataclasses import dataclass
 
-from lfk.bridge import EvenExpansion, F_poly
+from lfk.bridge import EvenExpansion, F_poly, TwoBridge
 from lfk.cubes import CubeLabeling, _corner_from_grading_key, vertices
-from lfk.errors import HypothesisNotMet
+from lfk.errors import HypothesisNotMet, RegionUnstable
 from lfk.floer import CrossReport
-from lfk.laurent import MultiLaurent, diagonal, exact_div
-from lfk.lspace import LinkProfile, box_points, subsets_of
+from lfk.laurent import MultiLaurent, diagonal, exact_div, restrict
+from lfk.lspace import (CorReport, LinkProfile, TheoremReport, box_points,
+                        cor_alex2_check, default_box, normalized_family,
+                        subsets_of, theorem_alex_check, theorem_sum,
+                        two_bridge_profile)
 
 
 def rand_poly(rng: random.Random, nvars=2, max_terms=8, span=4, parity=None):
@@ -87,6 +92,98 @@ def cube_at(tg, s2):
                           for k, (x, e) in enumerate(zip(s2, eps)))
                 lab[(eps, j)] = tg.label_at(p, j)
     return CubeLabeling(tg.l, lab), tg.g[tuple(x - 2 for x in s2)]
+
+
+# -- per-point screens: second routes to the theorem and corollary checks ----
+
+
+def theorem_check_per_point(prof, box=None, margin=2):
+    """theorem_alex_check with every value read by theorem_sum, one point
+    and one direction at a time."""
+    fam = normalized_family(prof)
+    box = default_box(prof, margin) if box is None else tuple(map(tuple, box))
+    l = prof.l
+    violations = [(p, r, v) for p in box_points(box) for r in range(1, l + 1)
+                  for v in [theorem_sum(fam, p, r)] if v not in (0, 1)]
+    for axis in range(l):
+        for side, step in ((0, -2), (1, 2)):
+            edge = box[axis][side]
+            face = tuple((edge, edge) if k == axis else b
+                         for k, b in enumerate(box))
+            for point in box_points(face):
+                outward = tuple(x + step if k == axis else x
+                                for k, x in enumerate(point))
+                for r in range(1, l + 1):
+                    if (theorem_sum(fam, point, r)
+                            != theorem_sum(fam, outward, r)):
+                        raise RegionUnstable(
+                            f"value changes stepping outward at {point} "
+                            f"(direction {r}); enlarge the margin")
+    return TheoremReport(not violations, tuple(violations), box)
+
+
+def cor_check_per_column(prof):
+    """cor_alex2_check with each column read through restrict, and the run
+    under the other sign made on the negated polynomial."""
+    fam = normalized_family(prof)
+    runs = {1: _cor_failures_per_column(fam, fam.p_empty),
+            -1: _cor_failures_per_column(fam, -fam.p_empty)}
+    passing = [s for s in (1, -1) if not runs[s]]
+    sign = passing[0] if len(passing) == 1 else None
+    return CorReport(not runs[1], tuple(runs[1]), sign)
+
+
+def _cor_failures_per_column(fam, p0):
+    failures = []
+    for e2, c in sorted(p0.terms.items()):
+        if abs(c) > 1:
+            failures.append(("coefficient", 0, list(e2),
+                             f"coefficient {c} at {e2}"))
+    for r in (1, 2):
+        tail = fam.entries[frozenset({3 - r})]
+        if not tail.numer.is_zero():
+            for er in range(tail.numer.min_exp2(1) - 2,
+                            tail.numer.max_exp2(1) + 3, 2):
+                if tail.coeff(er) not in (0, 1):
+                    failures.append(("tail", r, er,
+                                     f"tail coefficient {tail.coeff(er)}"))
+        for er in sorted({e2[r - 1] for e2 in p0.terms}):
+            col = restrict(p0, r, er)
+            if col.is_zero():
+                continue
+            nz = [c for (_,), c in sorted(col.terms.items()) if c]
+            for a, b in zip(nz, nz[1:]):
+                if a * b > 0:
+                    failures.append(("alternation", r, er,
+                                     "equal consecutive signs"))
+                    break
+            t = tail.coeff(er)
+            if t not in (0, 1):
+                continue
+            want = 1 if t == 1 else -1
+            if nz and nz[-1] != want:
+                failures.append(("leading", r, er,
+                                 f"top coefficient {nz[-1]}, expected {want}"))
+    return failures
+
+
+def _digest(data) -> str:
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def screen_digests(alpha, beta, sign):
+    """One row of tests/data/check60.csv: alpha, beta and the sign of
+    Delta_L, then the sha256 of the canonical JSON of theorem_alex_check at
+    margin 2 (or of its refusal's type and text) and of cor_alex2_check."""
+    prof = two_bridge_profile(TwoBridge(alpha, beta))
+    prof = prof.with_signs({prof.full(): sign})
+    try:
+        thm = theorem_alex_check(prof, margin=2).to_json()
+    except RegionUnstable as err:
+        thm = [type(err).__name__, str(err)]
+    return [str(alpha), str(beta), str(sign), _digest(thm),
+            _digest(cor_alex2_check(prof).to_json())]
 
 
 # -- per-point readers: a second route to the corner table and hat groups -----

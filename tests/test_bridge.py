@@ -41,6 +41,9 @@ def test_fraction_of_examples():
 def test_fraction_of_zero_denominator():
     with pytest.raises(ZeroDenominator):
         fraction_of([1, 1, 0])
+    # the tail D(-1, 0, 1) = -2 + 1/(0 + 1/2) vanishes in the middle
+    with pytest.raises(ZeroDenominator):
+        fraction_of([1, 1, -1, 0, 1])
 
 
 def test_expansion_roundtrip_up_to_200():

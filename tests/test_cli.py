@@ -324,6 +324,26 @@ def test_hat_point_off_the_table_is_a_usage_error(capsys):
     assert json.loads(capsys.readouterr().out)["hat"]["s2"] == [4, 4]
 
 
+def test_list_values_starting_with_minus_need_no_equals(capsys):
+    # A comma list starting with "-" reads the same with and without "=".
+    b20 = ["hfl", "--ab", "20", "-3"]
+    cases = [(b20, "--hat", "-4,-4", []), (b20, "--hat", "-4,4", []),
+             (b20, "--hat", "-100,-100", []), (b20, "--hat", "-4", []),
+             (["alex"], "--exp", "-3,-1,1", []),
+             (["check"], "--exp", "-3,-1,1", ["--margin", "3"]),
+             (["tgraph"], "--exp", "-1,x", [])]
+    for head, option, value, tail in cases:
+        runs = []
+        for form in ([*head, option, value, *tail],
+                     [*head, f"{option}={value}", *tail]):
+            code = main(form)
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0] == runs[1], (head, option, value)
+    assert runs[0][0] == 1 and "--exp takes" in runs[0][2]
+    assert main([*b20, "--hat", "-4,4"]) == 0
+    assert json.loads(capsys.readouterr().out)["hat"]["s2"] == [-4, 4]
+
+
 def test_equivalence_orbit_and_representative():
     orbit = equivalence_orbit(20, -3)
     assert orbit == {37, 13, 17, 33}

@@ -133,6 +133,27 @@ def test_restrict_partition_identity():
         assert total == p
 
 
+def test_derived_polynomials_hold_the_invariants():
+    # Negation, int scaling, shifted, involution and restrict skip the
+    # constructor's validation; their terms must be what it would keep.
+    rng = random.Random(13)
+    for _ in range(300):
+        nvars = rng.randint(1, 3)
+        p = rand_poly(rng, nvars=nvars)
+        shift = tuple(rng.randint(-5, 5) for _ in range(nvars))
+        derived = [-p, p * rng.choice((-3, -1, 2, 5)), 7 * p, p.shifted(shift),
+                   p.involution()]
+        if nvars == 2:
+            derived += [restrict(p, i, j2) for i in (1, 2)
+                        for j2 in {e2[i - 1] for e2 in p.terms} | {1, 2}]
+        for q in derived:
+            assert q.terms == MultiLaurent(q.nvars, q.terms).terms
+            assert all(q.terms.values())
+            assert all(type(x) is int for e2 in q.terms for x in e2)
+            for i in range(q.nvars):
+                assert len({e2[i] & 1 for e2 in q.terms}) <= 1
+
+
 def test_eval_signs():
     p = MultiLaurent(2, {(0, 0): 1, (2, 2): -2})
     assert eval_signs(p, -1, 1) == 3
@@ -163,6 +184,16 @@ def test_tail_poly_general_numerator():
     t = TailPoly(1, MultiLaurent(1, {(2,): 1, (0,): -1, (-2,): 1}))
     assert not t.is_pure
     assert [t.coeff(e) for e in (4, 2, 0, -2, -4)] == [0, 1, 0, 1, 1]
+
+
+def test_tail_coeffs_in_one_pass_match_coeff():
+    rng = random.Random(17)
+    for _ in range(300):
+        numer = rand_poly(rng, nvars=1, max_terms=4)
+        t = TailPoly(1, numer)
+        vals = sorted({rng.randint(-12, 12) for _ in range(rng.randint(0, 9))})
+        for vs in (vals, range(-13, 14, 2), range(-12, 13, 2)):
+            assert t.coeffs(vs) == [t.coeff(x) for x in vs], (numer, vs)
 
 
 def test_coeff_zero_polynomial():

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import random
@@ -5,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_profile, split_union_with_unknot
+from conftest import (cor_check_per_column, random_profile, screen_digests,
+                      split_union_with_unknot, theorem_check_per_point)
 from lfk.bridge import TwoBridge
+from lfk.cli import family_links
 from lfk.errors import CosetViolation, RegionUnstable
 from lfk.laurent import MultiLaurent, TailPoly
 from lfk.lspace import (LinkProfile, box_points, cor_alex2_check, default_box,
@@ -170,6 +173,64 @@ def test_theorem_check_screening_matches_reference():
             prof.with_signs({prof.full(): s})).ok}
     assert len(want) == 274
     assert passing == want
+
+
+def test_screen_matches_pinned_digests():
+    # Digests of both checks on every (alpha, beta, sign) with alpha <= 60,
+    # recorded by screen_digests before the theorem field was evaluated by
+    # rows and the corollary check by one sorted pass.
+    path = Path(__file__).parent / "data" / "check60.csv"
+    with open(path, newline="") as fh:
+        want = list(csv.reader(fh))[1:]
+    got = [screen_digests(alpha, beta, s)
+           for alpha, beta in _two_bridge_pairs(60) for s in (1, -1)]
+    for row_want, row_got in zip(want, got):
+        assert row_got == row_want, f"first difference at {row_want[:3]}"
+    assert len(got) == len(want) == 1492
+
+
+def _outcome(check, prof, **kw):
+    try:
+        return check(prof, **kw)
+    except RegionUnstable as err:
+        return str(err)
+
+
+def _signed_pair(alpha, beta):
+    prof = two_bridge_profile(TwoBridge(alpha, beta))
+    return prof.with_signs({prof.full(): cor_alex2_check(prof).sign})
+
+
+def test_theorem_check_matches_per_point_route():
+    cases = [(unknot_profile(), {}), (unlink_profile(2), {}),
+             (unlink_profile(3), {})]
+    cases += [(b20_profile(), {"box": box}) for box in
+              (((0, 2), (0, 2)), ((-8, 9), (-8, 8)), ((-8, 3), (-8, 8)),
+               ((-8, 8), (8, 8)))]
+    for alpha, beta in _two_bridge_pairs(30):
+        prof = two_bridge_profile(TwoBridge(alpha, beta))
+        cases += [(prof.with_signs({prof.full(): s}), {}) for s in (1, -1)]
+    pairs = [unlink_profile(2)] + [_signed_pair(m.alpha, m.beta)
+                                   for m in family_links(16)]
+    pairs.append(b20_profile())
+    cases += [(split_union_with_unknot(p), {"margin": 2}) for p in pairs]
+    # margin 10 costs the per-point route about a second per union
+    cases += [(split_union_with_unknot(p), {"margin": 10})
+              for p in (pairs[0], pairs[-2], pairs[-1])]
+    for prof, kw in cases:
+        kw.setdefault("margin", 2)
+        assert _outcome(theorem_alex_check, prof, **kw) == \
+            _outcome(theorem_check_per_point, prof, **kw), (prof.to_json(), kw)
+
+
+def test_cor_check_matches_per_column_route():
+    profiles = [unlink_profile(2), two_bridge_profile(TwoBridge(12, 5)),
+                b20_profile().with_signs({frozenset({1}): -1})]
+    profiles += [two_bridge_profile(TwoBridge(alpha, beta))
+                 for alpha, beta in _two_bridge_pairs(100)]
+    for prof in profiles:
+        assert cor_alex2_check(prof) == cor_check_per_column(prof), \
+            prof.to_json()
 
 
 def test_cor_check_b20():
