@@ -22,8 +22,9 @@ from .cubes import (CubeLabeling, check_dimension, corner_homology,
                     oracle_corner_homology)
 from .errors import LfkError, NotLSpaceLink
 from .floer import alternating_cross_check, build_tgraph, hfl_hat, hfl_minus
-from .lspace import (LinkProfile, cor_alex2_check, normalized_family,
-                     resolve_margin, theorem_alex_check, two_bridge_profile)
+from .lspace import (LinkProfile, _cor_check, _theorem_check,
+                     cor_alex2_check, normalized_family, resolve_margin,
+                     two_bridge_profile)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -300,12 +301,13 @@ def _cmd_check(args) -> int:
     margin = resolve_margin(args.margin)
     cor_fail = thm_fail = None
     for cand in prof.assignments():
+        fam = normalized_family(cand)
         if cand.l == 2:
-            cor = cor_alex2_check(cand)
+            cor = _cor_check(fam)
             if not cor.ok:
                 cor_fail = cor_fail or cor
                 continue
-        thm = theorem_alex_check(cand, margin=margin)
+        thm = _theorem_check(fam, None, margin)
         if thm.ok:
             print(json.dumps({"ok": True, "box": [list(b) for b in thm.box]}))
             return EXIT_OK
@@ -427,9 +429,10 @@ def main(argv=None) -> int:
     parser = make_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse takes a value like "-4,-4" for an option; attach it to the
-    # --hat or --exp before it, as if written --hat=-4,-4.
+    # --hat or --exp (or a prefix argparse resolves) before it: --hat=-4,-4.
     for i in reversed(range(1, len(argv))):
-        if argv[i - 1] in ("--hat", "--exp") and re.match(r"-[0-9]", argv[i]):
+        if re.fullmatch(r"--(h(at?)?|e(xp?)?)", argv[i - 1]) \
+                and re.match(r"-[0-9]", argv[i]):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)

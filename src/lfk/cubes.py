@@ -214,6 +214,13 @@ def _euler(n: int, gkey: tuple) -> int:
                for v, x in zip(vertices(n), gkey)) // 2
 
 
+@lru_cache(maxsize=None)
+def _corner_at(n: int, gradings: tuple) -> GradedVS:
+    """Corner homology from absolute vertex gradings, cached per tuple."""
+    return _corner_from_grading_key(n, tuple(
+        [x - gradings[0] for x in gradings])).shifted(gradings[0])
+
+
 # -- GF(2) linear algebra on bitmask rows ------------------------------------
 
 def _gf2_rank(rows: list[int]) -> int:
@@ -287,8 +294,7 @@ def corner_homology(cl: CubeLabeling, origin: int = 0) -> GradedVS:
     if cl.n >= 4:
         raise DimensionUnsupported(
             "corner homology is not determined by edge labels for n >= 4")
-    gkey = tuple(x - origin for x in vertex_gradings(cl, origin))
-    return _corner_from_grading_key(cl.n, gkey).shifted(origin)
+    return _corner_at(cl.n, vertex_gradings(cl, origin))
 
 
 def oracle_corner_homology(cl: CubeLabeling, origin: int = 0) -> GradedVS:

@@ -20,19 +20,21 @@ in one downward pass per sublink, all in the link's coordinates:
 
 The construction refuses inputs for which no consistent field exists: such
 inputs cannot be L-space links.  The homology table assigns to each lattice
-point the corner homology of its unit cube; the cube sweep, the corner table
-and the hat groups read g through one set of cube offsets, and the
-alternating cross-check makes one pass over the box.
+point the corner homology of its unit cube.  The cube sweep, the corner
+table and the hat groups read g through one set of cube offsets and answer
+from memos, keyed by a cube's upper gradings less the first (its rules
+commute with a shift), by its vertex gradings, and by the table's nonzero
+points; the alternating cross-check makes one pass over the box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add
 
-from .cubes import (GradedVS, _corner_from_grading_key, complete_subgraph,
-                    euler_char, vertices)
+from .cubes import (GradedVS, _corner_at, complete_subgraph, euler_char,
+                    vertices)
 from .errors import HypothesisNotMet, NotLSpaceLink, RegionUnstable
 from .laurent import MultiLaurent, TailPoly
 from .lspace import (LinkProfile, NormalizedFamily, _box, _checked_box,
@@ -111,7 +113,7 @@ def build_tgraph(prof: LinkProfile, box=None, margin=None,
     order = _SWEEP_ORDERS[sweep_order]
     margin = resolve_margin(margin)
     if box:
-        box = _checked_box(prof, box)
+        box = _checked_box(prof.l, box)
     for candidate in prof.assignments():
         try:
             return _build_resolved(candidate, box, margin, order)
@@ -193,16 +195,15 @@ def _field(fam, s_set, box, margin, order) -> dict:
     up = _cube_offsets(l)[1:]
     for s in sorted(box_points(sweep_box), key=order):
         origin = tuple([x - 2 for x in s])
-        upper = tuple([g[tuple(map(add, origin, d))] for d in up])
+        upper = [g[tuple(map(add, origin, d))] for d in up]
+        unique, branches = _cube_rule(l, tuple([x - upper[0] for x in upper]))
         target = p0.coeff(s)
-        comp = complete_subgraph(l, upper)
-        for g0 in comp.origins:
-            chi = euler_char(l, (g0, *upper))
+        for d0, chi in branches:
             if chi == target:
-                g[origin] = g0
+                g[origin] = upper[0] + d0
                 break
         else:
-            if comp.is_unique:
+            if unique:
                 raise NotLSpaceLink(
                     f"forced cube at {s} has Euler characteristic "
                     f"{chi}, need coefficient {target}")
@@ -211,6 +212,14 @@ def _field(fam, s_set, box, margin, order) -> dict:
                 f"coefficient {target}")
     _verify_bottom_stability(g, box)
     return g
+
+
+@lru_cache(maxsize=None)
+def _cube_rule(l: int, rel: tuple) -> tuple:
+    """is_unique and (origin, Euler characteristic) per completion of rel."""
+    comp = complete_subgraph(l, rel)
+    return comp.is_unique, tuple([(g0, euler_char(l, (g0, *rel)))
+                                  for g0 in comp.origins])
 
 
 @lru_cache(maxsize=None)
@@ -256,6 +265,11 @@ class HFLTable:
     def box(self):
         return self.tgraph.box
 
+    @cached_property
+    def nonzero(self) -> frozenset:
+        """The points whose group is nonzero."""
+        return frozenset(s for s, vs in self.table.items() if not vs.is_zero())
+
     def entry(self, s2) -> GradedVS:
         """The group at a lattice point: tabulated over the box and 0 beyond
         the corner; other points raise ValueError."""
@@ -295,11 +309,8 @@ def _corner_table(tg: TGraph) -> dict:
     cols = [map(tg.g.__getitem__, box_points(
                 [(lo - 2 + e, hi - 2 + e) for (lo, hi), e in zip(tg.box, d)]))
             for d in _cube_offsets(tg.l)]
-    out = {}
-    for s, gs in zip(box_points(tg.box), zip(*cols)):
-        rel = tuple([x - gs[0] for x in gs])
-        out[s] = _corner_from_grading_key(tg.l, rel).shifted(gs[0])
-    return out
+    return {s: _corner_at(tg.l, gs)
+            for s, gs in zip(box_points(tg.box), zip(*cols))}
 
 
 def hfl_minus(prof: LinkProfile, tgraph: TGraph | None = None,
@@ -325,11 +336,11 @@ def hfl_hat(table: HFLTable, s2) -> GradedVS:
 
 def _first_nonzero_up(table: HFLTable, s2):
     """The first nonzero 0/1 offset eps, in ``vertices`` order, with a
-    nonzero group at s2 + 2 eps (off the box via HFLTable.entry), or None."""
-    tab = table.table
+    nonzero group at s2 + 2 eps, or None.  Wherever entry(s2) is defined,
+    each s2 + 2 eps is in the table or beyond the corner (every box top is
+    at least m + 4), so membership in the nonzero set decides it."""
     for d in _cube_offsets(table.tgraph.l)[1:]:
-        t = tuple(map(add, s2, d))
-        if not (tab[t] if t in tab else table.entry(t)).is_zero():
+        if tuple(map(add, s2, d)) in table.nonzero:
             return tuple([x // 2 for x in d])
     return None
 

@@ -446,11 +446,11 @@ def _hull(box1, box2):
     return tuple((min(a, c), max(b, d)) for (a, b), (c, d) in zip(box1, box2))
 
 
-def _checked_box(prof: LinkProfile, box) -> tuple:
+def _checked_box(l: int, box) -> tuple:
     """An explicit box as (lo2, hi2) pairs, one per component."""
     box = tuple(tuple(b) for b in box)
-    if len(box) != prof.l:
-        raise ValueError(f"box has {len(box)} ranges, expected {prof.l}")
+    if len(box) != l:
+        raise ValueError(f"box has {len(box)} ranges, expected {l}")
     return box
 
 
@@ -486,12 +486,16 @@ def theorem_alex_check(prof: LinkProfile, box=None,
     the box grown by one step, on one normalized family; a row within
     [0, 1], or a face equal to its outward one, is passed whole.
     """
-    fam = normalized_family(prof)
+    return _theorem_check(normalized_family(prof), box, margin)
+
+
+def _theorem_check(fam: NormalizedFamily, box, margin) -> TheoremReport:
+    """theorem_alex_check on a built family."""
     box = _box(fam, frozenset(), resolve_margin(margin)) if box is None \
-        else _checked_box(prof, box)
+        else _checked_box(fam.l, box)
     if any(lo > hi for lo, hi in box):
         raise ValueError(f"box {box} has an axis with lo > hi")
-    l = prof.l
+    l = fam.l
     # The box, its outward neighbours, and an upper edge off the lo coset:
     # lo - 2 and hi + 2 sit at the ends of each axis, lo and hi next to them.
     grid = [sorted({lo - 2, *range(lo, hi + 1, 2), hi, hi + 2})
@@ -560,9 +564,12 @@ def cor_alex2_check(prof: LinkProfile) -> CorReport:
     """
     if prof.l != 2:
         raise ValueError("this corollary checker needs exactly two components")
-    # The +1 run is the profile as given.  The sign of Delta_L enters the
-    # family only through its entry at the empty set.
-    fam = normalized_family(prof)
+    return _cor_check(normalized_family(prof))
+
+
+def _cor_check(fam: NormalizedFamily) -> CorReport:
+    """cor_alex2_check on a built family.  The +1 run is the family as
+    given: the sign of Delta_L enters it only through its empty-set entry."""
     runs = {1: _cor_failures(fam, 1), -1: _cor_failures(fam, -1)}
     passing = [s for s in (1, -1) if not runs[s]]
     sign = passing[0] if len(passing) == 1 else None

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 from lfk.bridge import EvenExpansion, F_poly, TwoBridge
 from lfk.cubes import CubeLabeling, _corner_from_grading_key, vertices
-from lfk.errors import HypothesisNotMet, RegionUnstable
-from lfk.floer import CrossReport
+from lfk.errors import HypothesisNotMet, LfkError, RegionUnstable
+from lfk.floer import CrossReport, build_tgraph
 from lfk.laurent import MultiLaurent, diagonal, exact_div, restrict
 from lfk.lspace import (CorReport, LinkProfile, TheoremReport, box_points,
                         cor_alex2_check, default_box, normalized_family,
@@ -184,6 +184,23 @@ def screen_digests(alpha, beta, sign):
         thm = [type(err).__name__, str(err)]
     return [str(alpha), str(beta), str(sign), _digest(thm),
             _digest(cor_alex2_check(prof).to_json())]
+
+
+def build_digests(alpha, beta, sign):
+    """One row of tests/data/build60.csv: alpha, beta and the sign of
+    Delta_L, then for each sweep order, sum and lex, the sha256 of the
+    canonical JSON of build_tgraph at margin 2 (or of its refusal's type
+    and text)."""
+    prof = two_bridge_profile(TwoBridge(alpha, beta))
+    prof = prof.with_signs({prof.full(): sign})
+    row = [str(alpha), str(beta), str(sign)]
+    for order in ("sum", "lex"):
+        try:
+            out = build_tgraph(prof, margin=2, sweep_order=order).to_json()
+        except LfkError as err:
+            out = [type(err).__name__, str(err)]
+        row.append(_digest(out))
+    return row
 
 
 # -- per-point readers: a second route to the corner table and hat groups -----

@@ -344,6 +344,27 @@ def test_list_values_starting_with_minus_need_no_equals(capsys):
     assert json.loads(capsys.readouterr().out)["hat"]["s2"] == [-4, 4]
 
 
+def test_abbreviated_list_options_need_no_equals(capsys):
+    # A prefix argparse resolves to --hat or --exp alone reads a value
+    # starting with "-" the same with and without "=".
+    b20 = ["hfl", "--ab", "20", "-3"]
+    cases = [(b20, "--ha", "-4,4"), (b20, "--ha", "-4,-4"),
+             (["alex"], "--ex", "-3,-1,1"), (["alex"], "--e", "-3,-1,1"),
+             (["check"], "--e", "-3,-1,1")]
+    for head, option, value in cases:
+        runs = []
+        for form in ([*head, option, value], [*head, f"{option}={value}"]):
+            code = main(form)
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0] == runs[1], (head, option, value)
+        assert runs[0][0] != 1, (head, option, value)
+    assert main([*b20, "--ha", "-4,4"]) == 0
+    assert json.loads(capsys.readouterr().out)["hat"]["s2"] == [-4, 4]
+    # --h also names --help, so it stays an ambiguous option.
+    assert main([*b20, "--h", "-4,4"]) == 1
+    assert "ambiguous option" in capsys.readouterr().err
+
+
 def test_equivalence_orbit_and_representative():
     orbit = equivalence_orbit(20, -3)
     assert orbit == {37, 13, 17, 33}
@@ -365,6 +386,22 @@ def test_pipeline_builds_two_families(monkeypatch):
     monkeypatch.setattr(lfk.floer, "normalized_family", counting)
     rep = TwoBridge(20, -3)
     assert _pipeline(rep, class_id_of(20, -3), True, 2).survivor
+    assert len(calls) == 2
+
+
+def test_check_builds_one_family_per_assignment(monkeypatch, capsys):
+    # b(20,-3): one for the stored sign, which fails the corollary, and one
+    # for the flipped sign, which both checks read.
+    calls = []
+
+    def counting(prof):
+        calls.append(prof)
+        return normalized_family(prof)
+
+    monkeypatch.setattr(lfk.lspace, "normalized_family", counting)
+    monkeypatch.setattr(lfk.cli, "normalized_family", counting)
+    assert main(["check", "--ab", "20", "-3"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
     assert len(calls) == 2
 
 

@@ -1,19 +1,25 @@
+import csv
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 import lfk.floer
 import lfk.lspace
-from conftest import (corner_table_per_point, cross_check_per_point, cube_at,
-                      hat_per_point, knot_one_negated, random_profile,
+from conftest import (build_digests, corner_table_per_point,
+                      cross_check_per_point, cube_at, hat_per_point,
+                      knot_one_negated, random_profile,
                       split_union_with_unknot)
 from lfk.bridge import TwoBridge, signature
 from lfk.cli import all_candidates, family_links
-from lfk.cubes import GradedVS, corner_homology
+from lfk.cubes import (GradedVS, _corner_at, _corner_from_grading_key,
+                       complete_subgraph, corner_homology,
+                       enumerate_valid_labelings, euler_char,
+                       vertex_gradings)
 from lfk.errors import HypothesisNotMet, NotLSpaceLink, RegionUnstable
-from lfk.floer import (alternating_cross_check, build_tgraph, hfl_hat,
-                       hfl_minus)
+from lfk.floer import (_cube_rule, alternating_cross_check, build_tgraph,
+                       hfl_hat, hfl_minus)
 from lfk.laurent import MultiLaurent
 from lfk.lspace import (LinkProfile, box_points, cor_alex2_check, default_box,
                         m_vector, normalized_family, theorem_alex_check,
@@ -453,3 +459,44 @@ def test_one_pass_corner_table_on_split_unions():
         for pair in pairs:
             table = hfl_minus(split_union_with_unknot(pair), margin=margin)
             assert table.table == corner_table_per_point(table.tgraph)
+
+
+def test_build_matches_pinned_digests():
+    # Digests of the graph (or of the refusal) under both sweep orders on
+    # every (alpha, beta, sign) with alpha <= 60, recorded by build_digests
+    # before cubes were graded from a memo per relative key.
+    path = Path(__file__).parent / "data" / "build60.csv"
+    with open(path, newline="") as fh:
+        want = list(csv.reader(fh))[1:]
+    got = [build_digests(link.alpha, link.beta, s)
+           for link in all_candidates(60) for s in (1, -1)]
+    for row_want, row_got in zip(want, got):
+        assert row_got == row_want, f"first difference at {row_want[:3]}"
+    assert len(got) == len(want) == 1492
+
+
+def test_memos_match_the_direct_rules():
+    # The cube rule, keyed by the upper gradings less the first, shifted
+    # back; and the corner group, keyed by the absolute gradings.
+    for n in (1, 2, 3):
+        for cl in enumerate_valid_labelings(n):
+            for origin in (-6, 0, 10):
+                gs = vertex_gradings(cl, origin)
+                upper = gs[1:]
+                comp = complete_subgraph(n, upper)
+                unique, branches = _cube_rule(
+                    n, tuple(x - upper[0] for x in upper))
+                assert unique == comp.is_unique
+                assert [(upper[0] + d, chi) for d, chi in branches] == [
+                    (g0, euler_char(n, (g0, *upper))) for g0 in comp.origins]
+                rel = tuple(x - origin for x in gs)
+                assert _corner_at(n, gs) == \
+                    _corner_from_grading_key(n, rel).shifted(origin)
+
+
+def test_nonzero_set_matches_the_table():
+    for prof in (fixed_profile(20, -3), unlink_profile(3)):
+        table = hfl_minus(prof)
+        assert table.nonzero == {s for s, vs in table.table.items()
+                                 if not vs.is_zero()}
+        assert table.nonzero and table.nonzero != set(table.table)
