@@ -18,8 +18,9 @@ from lfk.cubes import (GradedVS, _corner_at, _corner_from_grading_key,
                        enumerate_valid_labelings, euler_char,
                        vertex_gradings)
 from lfk.errors import HypothesisNotMet, NotLSpaceLink, RegionUnstable
-from lfk.floer import (_cube_rule, alternating_cross_check, build_tgraph,
-                       hfl_hat, hfl_minus)
+from lfk.floer import (_SWEEP_ORDERS, HFLTable, _cube_rule,
+                       alternating_cross_check, build_tgraph, hfl_hat,
+                       hfl_minus)
 from lfk.laurent import MultiLaurent
 from lfk.lspace import (LinkProfile, box_points, cor_alex2_check, default_box,
                         m_vector, normalized_family, theorem_alex_check,
@@ -500,3 +501,47 @@ def test_nonzero_set_matches_the_table():
         assert table.nonzero == {s for s, vs in table.table.items()
                                  if not vs.is_zero()}
         assert table.nonzero and table.nonzero != set(table.table)
+
+
+def test_sweep_orders_match_their_keys():
+    # The keyed sorts the order functions replaced, as the oracle.
+    old_key = {"sum": lambda s: (-sum(s), tuple(-x for x in s)),
+               "lex": lambda s: tuple(-x for x in s)}
+    boxes = [((3, 3),), ((-5, 7),), ((0, 0), (1, 1)), ((-4, 6), (1, 1)),
+             ((1, 1), (-4, 6)), ((-3, 5), (-2, 8)), ((2, 2), (-1, -1), (4, 4)),
+             ((-2, 2), (1, 1), (-3, 3)), ((-1, 3), (0, 4), (-5, 1))]
+    assert {len(b) for b in boxes} == {1, 2, 3}
+    for box in boxes:
+        for name, key in old_key.items():
+            assert list(_SWEEP_ORDERS[name](box_points(box))) == \
+                sorted(box_points(box), key=key), (name, box)
+
+
+def test_cross_check_on_perturbed_tables():
+    # Copies of two tables with entries replaced: a zero group where the
+    # predicted coefficient is nonzero, a shifted grading, two gradings at
+    # the top corner, and nonzero groups on every edge and corner of the box
+    # (the bottom ones block points outside it); against the per-point route.
+    reasons = set()
+    for alpha, beta in ((20, -3), (14, -5)):
+        prof = fixed_profile(alpha, beta)
+        sigma = signature(TwoBridge(alpha, beta))
+        table = hfl_minus(prof)
+        ok = [s for s in sorted(table.nonzero)
+              if _hat_matches_per_point_route(table, s)]
+        (lo1, hi1), (lo2, hi2) = table.box
+        entries = dict(table.table)
+        for s in ((lo1, lo2), (lo1 + 4, lo2), (lo1, lo2 + 6), (lo1, hi2),
+                  (hi1, lo2), (hi1 - 4, hi2), (hi1, hi2 - 6)):
+            entries[s] = vs((0, 1))
+        entries[(hi1, hi2)] = vs((0, 1), (2, 1))
+        entries[ok[0]] = GradedVS.zero()
+        for s in ok[1:]:
+            (g, d), = table.table[s].dims
+            entries[s] = vs((g + 1, d))
+        bent = HFLTable(table.tgraph, entries)
+        rep = alternating_cross_check(prof, sigma, bent)
+        assert rep == cross_check_per_point(sigma, bent), (alpha, beta)
+        assert ok[0] in dict(rep.mismatches) and len(rep.mismatches) > 5
+        reasons |= {r.split()[0] for _, r in rep.mismatches}
+    assert reasons == {"dimension", "supported", "grading"}
