@@ -9,15 +9,14 @@ an exhaustive sweep.
 """
 
 from .bridge import (EvenExpansion, TwoBridge, alexander, alexander_of,
-                     equivalent, even_expansion, F_poly, fraction_of,
-                     linking_number, signature)
+                     even_expansion, F_poly, fraction_of, linking_number,
+                     signature)
 from .cubes import (CubeLabeling, GradedVS, complete_subgraph,
                     corner_homology, enumerate_valid_labelings, euler_char,
                     oracle_corner_homology, validate)
 from .floer import (HFLTable, TGraph, alternating_cross_check, build_tgraph,
                     hfl_hat, hfl_minus)
-from .laurent import (MultiLaurent, TailPoly, arith, coeff, diagonal,
-                      eval_signs, exact_div, restrict)
+from .laurent import MultiLaurent, TailPoly, diagonal, exact_div, restrict
 from .lspace import (LinkProfile, NormalizedFamily, cor_alex2_check,
                      m_vector, normalized_family, r_sum, theorem_alex_check,
                      two_bridge_profile, unknot_profile, unlink_profile)

@@ -23,7 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 
-from .errors import ZeroDenominator
 from .laurent import MultiLaurent
 
 
@@ -46,15 +45,6 @@ class TwoBridge:
     def __repr__(self):
         return f"b({self.alpha},{self.beta})"
 
-    @staticmethod
-    def from_string(text: str) -> TwoBridge:
-        """Parse the "alpha/beta" form, e.g. "20/-3"."""
-        a, _, b = text.partition("/")
-        return TwoBridge(int(a), int(b))
-
-    def as_string(self) -> str:
-        return f"{self.alpha}/{self.beta}"
-
 
 @dataclass(frozen=True)
 class EvenExpansion:
@@ -73,44 +63,26 @@ class EvenExpansion:
     def n(self) -> int:
         return len(self.p)
 
-    def interleaved(self) -> list[int]:
-        out = []
-        for i, pi in enumerate(self.p):
-            out.append(2 * pi)
-            if i < len(self.q):
-                out.append(2 * self.q[i])
-        return out
-
     def __repr__(self):
         return "D(" + ",".join(str(x) for x in self.interleaved_pq()) + ")"
 
     def interleaved_pq(self) -> list[int]:
-        out = []
-        for i, pi in enumerate(self.p):
-            out.append(pi)
-            if i < len(self.q):
-                out.append(self.q[i])
+        """The entries p1, q1, p2, ..., pn."""
+        out = [0] * (2 * self.n - 1)
+        out[0::2], out[1::2] = self.p, self.q
         return out
 
 
-def fraction_of(expansion) -> tuple[int, int]:
+def fraction_of(expansion: EvenExpansion) -> tuple[int, int]:
     """Evaluate an expansion to the reduced pair (alpha, beta), alpha > 0.
 
-    Accepts an EvenExpansion or a raw interleaved list [p1, q1, p2, ..., pn];
-    raw lists may contain zeros, in which case an intermediate tail can
-    vanish and ZeroDenominator is raised.
+    Each continuant step has determinant -1, so num and den stay coprime.
+    No tail vanishes: with |den| < |num| and |a| >= 2, the next numerator
+    has |a * num + den| >= 2|num| - |den| > |num|.
     """
-    if isinstance(expansion, EvenExpansion):
-        entries = expansion.interleaved()
-    else:
-        entries = [2 * int(x) for x in expansion]
-        if len(entries) % 2 == 0:
-            raise ValueError("interleaved expansion must have odd length")
-    # Each continuant step has determinant -1, so num and den stay coprime.
+    entries = [2 * x for x in expansion.interleaved_pq()]
     num, den = entries[-1], 1
     for a in reversed(entries[:-1]):
-        if num == 0:
-            raise ZeroDenominator("intermediate continued-fraction tail is 0")
         num, den = a * num + den, num
     return abs(num), abs(den) if num * den >= 0 else -abs(den)
 
@@ -153,14 +125,6 @@ def equivalence_orbit(alpha: int, beta: int,
     if reversal:
         orbit |= {(b + alpha) % m for b in orbit}
     return frozenset(orbit)
-
-
-def equivalent(l1: TwoBridge, l2: TwoBridge,
-               allow_orientation_reversal: bool = False) -> bool:
-    """Whether two two-bridge links are equivalent, optionally after
-    reversing the orientation of one component."""
-    return l1.alpha == l2.alpha and l2.beta % (2 * l2.alpha) in \
-        equivalence_orbit(l1.alpha, l1.beta, allow_orientation_reversal)
 
 
 @lru_cache(maxsize=None)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .bridge import TwoBridge, equivalence_orbit, even_expansion, signature
 from .cubes import (CubeLabeling, check_dimension, corner_homology,
                     oracle_corner_homology)
-from .errors import LfkError, NotLSpaceLink
+from .errors import LfkError
 from .floer import alternating_cross_check, build_tgraph, hfl_hat, hfl_minus
 from .lspace import (LinkProfile, _cor_check, _theorem_check,
                      cor_alex2_check, normalized_family, resolve_margin,
@@ -43,7 +43,7 @@ class SweepRecord:
     p: tuple[int, ...]
     q: tuple[int, ...]
     cor_alex2: str     # "pass" or "fail:<reason>"
-    tgraph: str        # "ok", "NotLSpaceLink" or "skipped"
+    tgraph: str        # "ok", "skipped" or the build's error type
     sigma_cross: str   # "pass", "fail:<reason>" or "skipped"
     family_member: bool
     class_id: str
@@ -141,9 +141,9 @@ def _pipeline(rep: TwoBridge, cid: str, fam: bool,
     prof = prof.with_signs({prof.full(): cor.sign})
     try:
         tg = build_tgraph(prof, margin=margin)
-    except NotLSpaceLink:
+    except LfkError as err:         # the corollary passed; the build refused
         return SweepRecord(rep.alpha, rep.beta, exp.p, exp.q, "pass",
-                           "NotLSpaceLink", "skipped", fam, cid)
+                           type(err).__name__, "skipped", fam, cid)
     cross = alternating_cross_check(prof, signature(rep), hfl_minus(prof, tg))
     scv = "pass" if cross.ok else "fail:" + cross.mismatches[0][1]
     return SweepRecord(rep.alpha, rep.beta, exp.p, exp.q, "pass", "ok",

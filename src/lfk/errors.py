@@ -15,16 +15,6 @@ class NotDivisible(LfkError):
     """An exact Laurent quotient was requested but none exists."""
 
 
-class HalfIntegerExponent(LfkError):
-    """Evaluation at -1 requested for a polynomial with half-integer exponents."""
-
-
-# -- bridge -----------------------------------------------------------------
-
-class ZeroDenominator(LfkError):
-    """A continued-fraction tail evaluated to zero."""
-
-
 # -- cubes ------------------------------------------------------------------
 
 class IncompleteLabels(LfkError, ValueError):

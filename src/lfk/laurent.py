@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import index
 
-from .errors import CosetMismatch, HalfIntegerExponent, NotDivisible
+from .errors import CosetMismatch, NotDivisible
 
 # A vector of doubled half-integer exponents.
 ExponentVec = tuple[int, ...]
@@ -35,14 +36,16 @@ class MultiLaurent:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
+        # index, not int: a float or a numeric string is refused, not cut
+        nvars = index(nvars)
         if not 1 <= nvars <= 3:
             raise ValueError(f"nvars must be between 1 and 3, got {nvars}")
         clean: dict[ExponentVec, int] = {}
         for e2, c in (terms or {}).items():
-            key = tuple(int(x) for x in e2)
+            key = tuple(map(index, e2))
             if len(key) != nvars:
                 raise ValueError(f"exponent vector {key} has wrong length")
-            c = int(c)
+            c = index(c)
             if c != 0:
                 clean[key] = c
         for i in range(nvars):
@@ -212,25 +215,6 @@ class MultiLaurent:
             data["nvars"], {tuple(t["e2"]): t["c"] for t in data["terms"]})
 
 
-def arith(a: MultiLaurent, kind: str, b=None) -> MultiLaurent:
-    """Dispatch exact ring arithmetic by name.
-
-    kind is one of add, sub, mul, neg, monomial_shift; b is the second
-    operand (a polynomial, or an exponent vector for monomial_shift).
-    """
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "neg":
-        return -a
-    if kind == "monomial_shift":
-        return a.shifted(b)
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
-
-
 def exact_div(num: MultiLaurent, den: MultiLaurent) -> MultiLaurent:
     """Exact quotient in the Laurent ring; raises NotDivisible otherwise.
 
@@ -296,21 +280,6 @@ def restrict(p: MultiLaurent, i: int, j2: int) -> MultiLaurent:
         1, {(e2[other],): c for e2, c in p.terms.items() if e2[i - 1] == j2})
 
 
-def eval_signs(p: MultiLaurent, x: int, y: int) -> int:
-    """Evaluate a two-variable polynomial at (x, y) with x, y in {1, -1}."""
-    if p.nvars != 2:
-        raise ValueError("eval_signs is defined for two-variable polynomials")
-    if x not in (1, -1) or y not in (1, -1):
-        raise ValueError("evaluation points must be +1 or -1")
-    total = 0
-    for e2, c in p.terms.items():
-        if e2[0] % 2 or e2[1] % 2:
-            raise HalfIntegerExponent(
-                "cannot evaluate half-integer exponents at -1")
-        total += c * x ** (e2[0] // 2) * y ** (e2[1] // 2)
-    return total
-
-
 @dataclass(frozen=True)
 class TailPoly:
     """A one-variable series  numer(u) * sum_{i >= 0} u^(-i).
@@ -331,31 +300,6 @@ class TailPoly:
         if self.numer.nvars != 1:
             raise ValueError("TailPoly numerator must be one-variable")
 
-    @staticmethod
-    def pure(var: int, t2: int, scale: int = 1) -> TailPoly:
-        if scale not in (1, -1):
-            raise ValueError("pure tail scale must be +1 or -1")
-        return TailPoly(var, MultiLaurent.monomial(1, (t2,), scale))
-
-    @property
-    def is_pure(self) -> bool:
-        if len(self.numer.terms) != 1:
-            return False
-        return abs(next(iter(self.numer.terms.values()))) == 1
-
-    @property
-    def threshold2(self) -> int:
-        """Doubled threshold exponent of a pure tail."""
-        if not self.is_pure:
-            raise ValueError("threshold is defined for pure tails only")
-        return next(iter(self.numer.terms))[0]
-
-    @property
-    def scale(self) -> int:
-        if not self.is_pure:
-            raise ValueError("scale is defined for pure tails only")
-        return next(iter(self.numer.terms.values()))
-
     def coeff(self, e2: int) -> int:
         """Coefficient at the doubled exponent e2 (suffix sum of numer)."""
         par = self.numer.parity(1)
@@ -375,15 +319,3 @@ class TailPoly:
 
     def __repr__(self):
         return f"TailPoly(u{self.var}; numer={self.numer!r})"
-
-
-def coeff(p, e2):
-    """Coefficient of a MultiLaurent or TailPoly at an exponent vector.
-
-    For a TailPoly, e2 may be the bare doubled exponent or a 1-tuple.
-    """
-    if isinstance(p, TailPoly):
-        if isinstance(e2, tuple):
-            (e2,) = e2
-        return p.coeff(e2)
-    return p.coeff(e2)

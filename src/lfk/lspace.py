@@ -62,7 +62,7 @@ class LinkProfile:
     def __post_init__(self):
         if not 1 <= self.l <= 3:
             raise ValueError("component count must be 1..3")
-        lk = tuple(tuple(int(x) for x in row) for row in self.lk)
+        lk = tuple(tuple(map(operator.index, row)) for row in self.lk)
         if len(lk) != self.l or any(len(r) != self.l for r in lk):
             raise ValueError("lk must be an l-by-l matrix")
         if any(lk[i][j] != lk[j][i] for i in range(self.l) for j in range(self.l)):
@@ -185,12 +185,21 @@ class LinkProfile:
                     f"link profile field {name!r} is malformed: {err!r}") from err
 
         def subset_map(parse_val):
-            return lambda d: {frozenset(int(ch) for ch in key): parse_val(val)
-                              for key, val in d.items()}
+            def parse(d):
+                out = {}
+                for key, val in d.items():
+                    m = frozenset(int(ch) for ch in key)
+                    if m in out:
+                        raise ValueError(f"key {key!r} names the sublink "
+                                         f"{subset_key(m)!r} again")
+                    out[m] = parse_val(val)
+                return out
+            return parse
 
         return LinkProfile(
             read("l", operator.index),
-            read("lk", lambda v: tuple(tuple(int(x) for x in row) for row in v)),
+            read("lk", lambda v: tuple(tuple(map(operator.index, row))
+                                       for row in v)),
             read("delta", subset_map(MultiLaurent.from_json)),
             read("signs", subset_map(lambda flag: flag), default={}))
 
@@ -217,7 +226,7 @@ def unlink_profile(l: int = 2) -> LinkProfile:
     return LinkProfile(l, lk, delta, signs)
 
 
-def two_bridge_profile(link_or_expansion, sign: str = "auto") -> LinkProfile:
+def two_bridge_profile(link_or_expansion) -> LinkProfile:
     """Profile of a two-bridge link: unknotted components, and Delta from
     the Schubert signs by bridge.alexander."""
     if isinstance(link_or_expansion, TwoBridge):
@@ -230,7 +239,7 @@ def two_bridge_profile(link_or_expansion, sign: str = "auto") -> LinkProfile:
     return LinkProfile(
         2, ((0, lkn), (lkn, 0)),
         {frozenset({1}): one, frozenset({2}): one, full: alexander(exp)},
-        {frozenset({1}): "+", frozenset({2}): "+", full: sign})
+        {frozenset({1}): "+", frozenset({2}): "+", full: "auto"})
 
 
 # -- normalized family ------------------------------------------------------------

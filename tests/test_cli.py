@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from lfk.cli import (SweepRecord, _pipeline, all_candidates, class_id_of,
                      class_representative, classify, classification_summary,
                      equivalence_orbit, family_links, main, records_from_csv,
                      records_to_csv)
+from lfk.errors import RegionUnstable
 from lfk.lspace import (cor_alex2_check, normalized_family, two_bridge_profile,
                         unknot_profile, unlink_profile)
 
@@ -24,14 +27,15 @@ from lfk.lspace import (cor_alex2_check, normalized_family, two_bridge_profile,
 SRC = os.path.dirname(os.path.dirname(lfk.__file__))
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, cwd=None):
     full_env = dict(os.environ)
     full_env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (SRC, full_env.get("PYTHONPATH"))))
     if env:
         full_env.update(env)
     proc = subprocess.run([sys.executable, "-m", "lfk.cli", *args],
-                          capture_output=True, text=True, env=full_env)
+                          capture_output=True, text=True, env=full_env,
+                          cwd=cwd)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -93,6 +97,36 @@ def test_malformed_profile_is_a_usage_error(tmp_path, capsys):
             captured = capsys.readouterr()
             assert captured.err.startswith("error: "), (cmd, text)
             assert name in captured.err and captured.out == "", (cmd, text)
+
+
+def _first_unit_term(data):
+    return next(t for t in data["delta"]["12"]["terms"] if t["c"] == 1)
+
+
+def _negated_copy_as_21(data):
+    data["delta"]["21"] = {"nvars": 2, "terms": [
+        {"e2": t["e2"], "c": -t["c"]} for t in data["delta"]["12"]["terms"]]}
+
+
+@pytest.mark.parametrize("field, spoil", [
+    ("delta", lambda d: _first_unit_term(d).update(c=1.4)),
+    ("delta", lambda d: _first_unit_term(d).update(c="1")),
+    ("lk", lambda d: d.update(lk=[[0, 2.7], [2.7, 0]])),
+    ("delta", _negated_copy_as_21),      # a second key for sublink 12
+], ids=["coefficient-1.4", "coefficient-string", "lk-2.7", "key-21-after-12"])
+def test_inexact_profile_numbers_are_refused(tmp_path, capsys, field, spoil):
+    # b(20,-3) with one number that int() would truncate, or one sublink
+    # named twice: each used to pass the check on a different profile.
+    data = two_bridge_profile(TwoBridge(20, -3)).to_json()
+    spoil(data)
+    path = tmp_path / "prof.json"
+    path.write_text(json.dumps(data))
+    for cmd in ("check", "tgraph", "hfl"):
+        assert main([cmd, "--profile", str(path)]) == 1, cmd
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: link profile field {field!r} is malformed: "), cmd
+        assert captured.out == "", cmd
 
 
 def test_profile_that_is_not_json_names_option_and_file(tmp_path, capsys):
@@ -389,6 +423,26 @@ def test_pipeline_builds_two_families(monkeypatch):
     assert len(calls) == 2
 
 
+def test_build_refusal_is_recorded_under_tgraph(monkeypatch):
+    # A refusal other than NotLSpaceLink belongs to the build too: the
+    # corollary passed, so its column must not carry the failure.
+    plain = classify(6)
+
+    def refuse(prof, margin=None):
+        raise RegionUnstable("boundary values moved")
+
+    monkeypatch.setattr(lfk.cli, "build_tgraph", refuse)
+    records = classify(6)
+    assert records_to_csv(records).splitlines()[1] == \
+        "2,1,1,,pass,RegionUnstable,skipped,true,2:1"
+    for rec, before in zip(records, plain, strict=True):
+        if before.cor_alex2 == "pass":
+            assert (rec.cor_alex2, rec.tgraph, rec.sigma_cross) == \
+                ("pass", "RegionUnstable", "skipped")
+        else:
+            assert rec == before
+
+
 def test_check_builds_one_family_per_assignment(monkeypatch, capsys):
     # b(20,-3): one for the stored sign, which fails the corollary, and one
     # for the flipped sign, which both checks read.
@@ -472,3 +526,27 @@ def test_main_returns_codes_in_process(capsys):
     assert main(["check", "--ab", "20", "-3"]) == 0
     assert main(["check", "--ab", "12", "5"]) == 2
     capsys.readouterr()
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def _readme_blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```", README.read_text(),
+                      re.MULTILINE | re.DOTALL)
+
+
+def test_readme_library_example_runs(capsys):
+    (code,) = _readme_blocks("python")
+    exec(code, {})
+    assert capsys.readouterr().out.splitlines() == ["F(1)", "True"]
+
+
+def test_readme_commands_exit_as_documented(tmp_path):
+    lines = [line for block in _readme_blocks("sh")
+             for line in block.splitlines() if line.startswith("lfk ")]
+    assert len(lines) == 10
+    for line in lines:
+        command, _, comment = line.partition("#")
+        rc, _, err = run_cli(*shlex.split(command)[1:], cwd=tmp_path)
+        assert rc == (2 if "exit 2" in comment else 0), (line, err)

@@ -36,14 +36,14 @@ def test_normalized_family_b20():
         tail = fam[s]
         assert isinstance(tail, TailPoly)
         assert tail.var == var
-        assert tail.is_pure and tail.threshold2 == 2 and tail.scale == 1
+        assert tail.numer == MultiLaurent.monomial(1, (2,))
 
 
 def test_normalized_family_unlink():
     fam = normalized_family(unlink_profile(2))
     assert fam.p_empty.is_zero()
     for s in (frozenset({1}), frozenset({2})):
-        assert fam[s].is_pure and fam[s].threshold2 == 0
+        assert fam[s].numer == MultiLaurent.monomial(1, (0,))
 
 
 def test_normalized_family_unknot():
