@@ -9,16 +9,14 @@ an exhaustive sweep.
 """
 
 from .bridge import (EvenExpansion, TwoBridge, alexander, alexander_of,
-                     even_expansion, F_poly, fraction_of, linking_number,
-                     signature)
+                     even_expansion, fraction_of, linking_number, signature)
 from .cubes import (CubeLabeling, GradedVS, complete_subgraph,
-                    corner_homology, enumerate_valid_labelings, euler_char,
-                    oracle_corner_homology, validate)
+                    corner_homology, euler_char, oracle_corner_homology)
 from .floer import (HFLTable, TGraph, alternating_cross_check, build_tgraph,
                     hfl_hat, hfl_minus)
-from .laurent import MultiLaurent, TailPoly, diagonal, exact_div, restrict
+from .laurent import MultiLaurent, TailPoly
 from .lspace import (LinkProfile, NormalizedFamily, cor_alex2_check,
-                     m_vector, normalized_family, r_sum, theorem_alex_check,
+                     m_vector, normalized_family, theorem_alex_check,
                      two_bridge_profile, unknot_profile, unlink_profile)
 
 __version__ = "0.1.0"

@@ -176,29 +176,6 @@ def vertex_gradings(cl: CubeLabeling, origin: int = 0) -> tuple[int, ...]:
     return tuple(g[v] for v in vertices(cl.n))
 
 
-def validate(cl: CubeLabeling) -> bool:
-    """Whether the labeling comes from vertex gradings."""
-    try:
-        vertex_gradings(cl)
-    except InvalidLabeling:
-        return False
-    return True
-
-
-def facet(cl: CubeLabeling, axis: int, side: int) -> CubeLabeling:
-    """The (n-1)-dimensional labeling on the face with coordinate axis = side."""
-    if cl.n == 1:
-        raise ValueError("a 1-cube has no facet labelings")
-    out = {}
-    for (v, j), val in cl.labels.items():
-        if v[axis - 1] != side or j == axis:
-            continue
-        w = v[:axis - 1] + v[axis:]
-        jj = j if j < axis else j - 1
-        out[(w, jj)] = val
-    return CubeLabeling(cl.n - 1, out)
-
-
 def euler_char(n: int, gradings) -> int:
     """Euler characteristic of the corner of the n-cube whose vertices carry
     the given gradings, listed in ``vertices`` order."""
@@ -390,14 +367,3 @@ def complete_subgraph(n: int, upper) -> Completion:
     units = [g[1 << k] for k in range(n)]
     u = max(units)
     return Completion((u, u - 2) if min(units) == u else (u - 2,))
-
-
-def enumerate_valid_labelings(n: int) -> list[CubeLabeling]:
-    """All valid labelings of the n-cube, in canonical order."""
-    es = edges(n)
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(es)):
-        cl = CubeLabeling(n, dict(zip(es, bits)))
-        if validate(cl):
-            out.append(cl)
-    return out

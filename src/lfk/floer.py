@@ -75,13 +75,6 @@ class TGraph:
         q[j - 1] = max(q[j - 1], self.store_lo[j - 1] + 2)
         return _g_step(self.g, tuple(q), j)
 
-    @property
-    def labels(self) -> dict:
-        """Edge labels of the stored region as g differences, keyed (p2, j)."""
-        return {(p, j): _g_step(self.g, p, j)
-                for p in sorted(self.g) for j in range(1, self.l + 1)
-                if p[j - 1] > self.store_lo[j - 1]}
-
     def to_json(self) -> dict:
         pts = list(box_points(self.box))
         return {

@@ -27,10 +27,10 @@ def _fmt_exp(e2: int) -> str:
 class MultiLaurent:
     """Finitely supported integer combination of Laurent monomials.
 
-    Negation, nonzero int scaling, shifted, involution and restrict skip the
-    constructor's validation (through _trusted): they map a valid operand's
-    terms one to one, move every exponent of a variable by one integer or
-    negate them all, and make no coefficient zero, so the result is valid.
+    Negation, nonzero int scaling and shifted skip the constructor's
+    validation (through _trusted): they map a valid operand's terms one to
+    one, move every exponent of a variable by one integer, and make no
+    coefficient zero, so the result is valid.
     """
 
     __slots__ = ("nvars", "terms")
@@ -170,12 +170,6 @@ class MultiLaurent:
             {tuple(a + b for a, b in zip(f2, e2)): c
              for f2, c in self.terms.items()})
 
-    def involution(self) -> MultiLaurent:
-        """Substitute u_i -> 1/u_i for every variable."""
-        return MultiLaurent._trusted(
-            self.nvars,
-            {tuple(-x for x in e2): c for e2, c in self.terms.items()})
-
     # -- plumbing ---------------------------------------------------------------
 
     def __eq__(self, other):
@@ -209,10 +203,25 @@ class MultiLaurent:
 
     @staticmethod
     def from_json(data) -> MultiLaurent:
+        """Read a polynomial from its JSON form, refusing booleans and an
+        exponent vector given twice."""
         if isinstance(data, str):
             data = json.loads(data)
-        return MultiLaurent(
-            data["nvars"], {tuple(t["e2"]): t["c"] for t in data["terms"]})
+        nvars, terms = data["nvars"], {}
+        for t in data["terms"]:
+            e2 = tuple(map(json_int, t["e2"]))
+            if e2 in terms:
+                raise ValueError(f"exponent {list(e2)} appears twice")
+            terms[e2] = json_int(t["c"])
+        return MultiLaurent(json_int(nvars), terms)
+
+
+def json_int(x) -> int:
+    """An integer read from JSON: operator.index, which refuses floats and
+    strings, minus the booleans it takes for 0 and 1."""
+    if isinstance(x, bool):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return index(x)
 
 
 def exact_div(num: MultiLaurent, den: MultiLaurent) -> MultiLaurent:
@@ -253,31 +262,6 @@ def exact_div(num: MultiLaurent, den: MultiLaurent) -> MultiLaurent:
             else:
                 rem.pop(key, None)
     return MultiLaurent(n, quot)
-
-
-def diagonal(p: MultiLaurent, i2: int) -> MultiLaurent:
-    """Terms of a two-variable polynomial with exponent difference i.
-
-    i2 is the doubled difference, i.e. keeps terms with e2[0] - e2[1] == i2.
-    """
-    if p.nvars != 2:
-        raise ValueError("diagonal is defined for two-variable polynomials")
-    return MultiLaurent(
-        2, {e2: c for e2, c in p.terms.items() if e2[0] - e2[1] == i2})
-
-
-def restrict(p: MultiLaurent, i: int, j2: int) -> MultiLaurent:
-    """Discard terms of a two-variable polynomial whose u_i exponent is not j.
-
-    Returns a one-variable polynomial in the other variable; j2 is doubled.
-    """
-    if p.nvars != 2:
-        raise ValueError("restrict is defined for two-variable polynomials")
-    if i not in (1, 2):
-        raise ValueError("variable index must be 1 or 2")
-    other = 2 - i  # 0-based index of the surviving variable
-    return MultiLaurent._trusted(
-        1, {(e2[other],): c for e2, c in p.terms.items() if e2[i - 1] == j2})
 
 
 @dataclass(frozen=True)

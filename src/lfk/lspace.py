@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .bridge import (TwoBridge, alexander, even_expansion, linking_number)
 from .errors import CosetViolation, RegionUnstable
-from .laurent import MultiLaurent, TailPoly
+from .laurent import MultiLaurent, TailPoly, json_int
 
 Subset = frozenset
 
@@ -142,18 +142,6 @@ class LinkProfile:
             signs[m] = "+"
         return LinkProfile(self.l, self.lk, delta, signs)
 
-    def sub_profile(self, m) -> LinkProfile:
-        """Profile of the sublink on components m, reindexed to 1..|m|."""
-        comps = sorted(m)
-        lk = tuple(tuple(self.lkval(a, b) for b in comps) for a in comps)
-        delta = {}
-        signs = {}
-        for sub in subsets_of(len(comps), nonempty=True):
-            orig = frozenset(comps[i - 1] for i in sub)
-            delta[sub] = self.delta[orig]
-            signs[sub] = self.signs[orig]
-        return LinkProfile(len(comps), lk, delta, signs)
-
     # -- JSON -----------------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -189,6 +177,9 @@ class LinkProfile:
                 out = {}
                 for key, val in d.items():
                     m = frozenset(int(ch) for ch in key)
+                    if len(m) != len(key):
+                        raise ValueError(f"key {key!r} names a component "
+                                         "twice")
                     if m in out:
                         raise ValueError(f"key {key!r} names the sublink "
                                          f"{subset_key(m)!r} again")
@@ -197,8 +188,8 @@ class LinkProfile:
             return parse
 
         return LinkProfile(
-            read("l", operator.index),
-            read("lk", lambda v: tuple(tuple(map(operator.index, row))
+            read("l", json_int),
+            read("lk", lambda v: tuple(tuple(map(json_int, row))
                                        for row in v)),
             read("delta", subset_map(MultiLaurent.from_json)),
             read("signs", subset_map(lambda flag: flag), default={}))
@@ -285,62 +276,14 @@ def normalized_family(prof: LinkProfile) -> NormalizedFamily:
     return NormalizedFamily(prof.l, entries)
 
 
-def r_sum(fam: NormalizedFamily, s_set, point2, r: int) -> int:
-    """Signed-region coefficient sum of one normalized polynomial.
-
-    Sums the coefficients of the entry at S over the exponents that agree
-    with the point in direction r and dominate it in every other remaining
-    direction.  point2 is a full-length doubled lattice point; only its
-    coordinates outside S matter.
-    """
-    s_set = frozenset(s_set)
-    if r in s_set:
-        raise ValueError("direction r must lie outside S")
-    entry = fam.entries[s_set]
-    comp = sorted(set(range(1, fam.l + 1)) - s_set)
-    if isinstance(entry, TailPoly):
-        return entry.coeff(point2[r - 1])
-    rpos = comp.index(r)
-    total = 0
-    for e2, c in entry.terms.items():
-        if e2[rpos] != point2[r - 1]:
-            continue
-        if all(e2[pos] >= point2[j - 1]
-               for pos, j in enumerate(comp) if j != r):
-            total += c
-    return total
-
-
-def theorem_sum(fam: NormalizedFamily, point2, r: int) -> int:
-    """The alternating sum over admissible S of the signed region sums: the
-    label of the edge entering point2 - 2 * sum_{j != r} e_j in direction r."""
-    l = fam.l
-    total = 0
-    for s in subsets_of(l, proper=True):
-        if r in s:
-            continue
-        total += (-1) ** (l - 1 - len(s)) * r_sum(fam, s, point2, r)
-    return total
-
-
-def theorem_field(fam: NormalizedFamily, grid) -> dict:
-    """Every theorem sum over a grid, {(point2, r): value}, as a flattening
-    of _theorem_rows.  grid holds one sorted list of doubled values per
-    axis, and the points are their product."""
-    heads = list(itertools.product(*grid[:-1]))
-    return {(head + (x,), r): v
-            for r, rows in enumerate(_theorem_rows(fam, grid), start=1)
-            for head, row in zip(heads, rows.values())
-            for x, v in zip(grid[-1], row)}
-
-
 def _theorem_rows(fam: NormalizedFamily, grid) -> list:
-    """theorem_sum over a grid: per direction r, a dict from each index
-    tuple of the other axes (in product order) to the row along the last
-    axis.  A signed entry term goes into the bucket at its exponent in r,
-    the last grid value at or below it elsewhere outside S, and the top of
-    each axis in S; a tail's terms are its coefficients on r's grid values.
-    Running sums from the top along every axis but r spread the buckets."""
+    """The theorem's signed sums over a grid (one sorted list of doubled
+    values per axis): per direction r, a dict from each index tuple of the
+    other axes (in product order) to the row along the last axis.  A signed
+    entry term goes into the bucket at its exponent in r, the last grid
+    value at or below it elsewhere outside S, and the top of each axis in
+    S; a tail's terms are its coefficients on r's grid values.  Running
+    sums from the top along every axis but r spread the buckets."""
     l, sizes = fam.l, [len(vals) for vals in grid]
     heads = list(itertools.product(*map(range, sizes[:-1])))
     exact = [{x: k for k, x in enumerate(vals)} for vals in grid]

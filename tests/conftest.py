@@ -6,13 +6,15 @@ import random
 from dataclasses import dataclass
 
 from lfk.bridge import EvenExpansion, F_poly, TwoBridge
-from lfk.cubes import CubeLabeling, _corner_from_grading_key, vertices
-from lfk.errors import HypothesisNotMet, LfkError, RegionUnstable
-from lfk.floer import CrossReport, build_tgraph
-from lfk.laurent import MultiLaurent, diagonal, exact_div, restrict
-from lfk.lspace import (CorReport, LinkProfile, TheoremReport, box_points,
-                        cor_alex2_check, default_box, normalized_family,
-                        subsets_of, theorem_alex_check, theorem_sum,
+from lfk.cubes import (CubeLabeling, _corner_from_grading_key, edges,
+                       vertex_gradings, vertices)
+from lfk.errors import (HypothesisNotMet, InvalidLabeling, LfkError,
+                        RegionUnstable)
+from lfk.floer import CrossReport, _g_step, build_tgraph
+from lfk.laurent import MultiLaurent, TailPoly, exact_div
+from lfk.lspace import (CorReport, LinkProfile, TheoremReport, _theorem_rows,
+                        box_points, cor_alex2_check, default_box,
+                        normalized_family, subsets_of, theorem_alex_check,
                         two_bridge_profile)
 
 
@@ -35,6 +37,50 @@ def rand_nonzero(rng, **kw):
         p = rand_poly(rng, **kw)
         if not p.is_zero():
             return p
+
+
+def involution(p: MultiLaurent) -> MultiLaurent:
+    """Substitute u_i -> 1/u_i for every variable."""
+    return MultiLaurent._trusted(
+        p.nvars, {tuple(-x for x in e2): c for e2, c in p.terms.items()})
+
+
+def diagonal(p: MultiLaurent, i2: int) -> MultiLaurent:
+    """Terms of a two-variable polynomial with exponent difference i.
+
+    i2 is the doubled difference, i.e. keeps terms with e2[0] - e2[1] == i2.
+    """
+    if p.nvars != 2:
+        raise ValueError("diagonal is defined for two-variable polynomials")
+    return MultiLaurent(
+        2, {e2: c for e2, c in p.terms.items() if e2[0] - e2[1] == i2})
+
+
+def restrict(p: MultiLaurent, i: int, j2: int) -> MultiLaurent:
+    """Discard terms of a two-variable polynomial whose u_i exponent is not j.
+
+    Returns a one-variable polynomial in the other variable; j2 is doubled.
+    """
+    if p.nvars != 2:
+        raise ValueError("restrict is defined for two-variable polynomials")
+    if i not in (1, 2):
+        raise ValueError("variable index must be 1 or 2")
+    other = 2 - i  # 0-based index of the surviving variable
+    return MultiLaurent._trusted(
+        1, {(e2[other],): c for e2, c in p.terms.items() if e2[i - 1] == j2})
+
+
+def sub_profile(prof: LinkProfile, m) -> LinkProfile:
+    """Profile of the sublink on components m, reindexed to 1..|m|."""
+    comps = sorted(m)
+    lk = tuple(tuple(prof.lkval(a, b) for b in comps) for a in comps)
+    delta = {}
+    signs = {}
+    for sub in subsets_of(len(comps), nonempty=True):
+        orig = frozenset(comps[i - 1] for i in sub)
+        delta[sub] = prof.delta[orig]
+        signs[sub] = prof.signs[orig]
+    return LinkProfile(len(comps), lk, delta, signs)
 
 
 def random_profile(rng, l):
@@ -81,6 +127,51 @@ def split_union_with_unknot(pair_profile):
           frozenset({1, 3}), frozenset({2, 3}), frozenset({1, 2, 3}))})
 
 
+# -- labelings: the valid ones of a small cube, facets, and a graph's labels --
+
+
+def validate(cl: CubeLabeling) -> bool:
+    """Whether the labeling comes from vertex gradings."""
+    try:
+        vertex_gradings(cl)
+    except InvalidLabeling:
+        return False
+    return True
+
+
+def facet(cl: CubeLabeling, axis: int, side: int) -> CubeLabeling:
+    """The (n-1)-dimensional labeling on the face with coordinate axis = side."""
+    if cl.n == 1:
+        raise ValueError("a 1-cube has no facet labelings")
+    out = {}
+    for (v, j), val in cl.labels.items():
+        if v[axis - 1] != side or j == axis:
+            continue
+        w = v[:axis - 1] + v[axis:]
+        jj = j if j < axis else j - 1
+        out[(w, jj)] = val
+    return CubeLabeling(cl.n - 1, out)
+
+
+def enumerate_valid_labelings(n: int) -> list[CubeLabeling]:
+    """All valid labelings of the n-cube, in canonical order."""
+    es = edges(n)
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(es)):
+        cl = CubeLabeling(n, dict(zip(es, bits)))
+        if validate(cl):
+            out.append(cl)
+    return out
+
+
+def labels(tg) -> dict:
+    """Edge labels of a graph's stored region as g differences, keyed
+    (p2, j)."""
+    return {(p, j): _g_step(tg.g, p, j)
+            for p in sorted(tg.g) for j in range(1, tg.l + 1)
+            if p[j - 1] > tg.store_lo[j - 1]}
+
+
 def cube_at(tg, s2):
     """The unit-cube labeling at a box point, read edge by edge off the
     graph's total label lookup, and the grading of the cube's origin."""
@@ -95,6 +186,55 @@ def cube_at(tg, s2):
 
 
 # -- per-point screens: second routes to the theorem and corollary checks ----
+
+
+def r_sum(fam, s_set, point2, r: int) -> int:
+    """Signed-region coefficient sum of one normalized polynomial.
+
+    Sums the coefficients of the entry at S over the exponents that agree
+    with the point in direction r and dominate it in every other remaining
+    direction.  point2 is a full-length doubled lattice point; only its
+    coordinates outside S matter.
+    """
+    s_set = frozenset(s_set)
+    if r in s_set:
+        raise ValueError("direction r must lie outside S")
+    entry = fam.entries[s_set]
+    comp = sorted(set(range(1, fam.l + 1)) - s_set)
+    if isinstance(entry, TailPoly):
+        return entry.coeff(point2[r - 1])
+    rpos = comp.index(r)
+    total = 0
+    for e2, c in entry.terms.items():
+        if e2[rpos] != point2[r - 1]:
+            continue
+        if all(e2[pos] >= point2[j - 1]
+               for pos, j in enumerate(comp) if j != r):
+            total += c
+    return total
+
+
+def theorem_sum(fam, point2, r: int) -> int:
+    """The alternating sum over admissible S of the signed region sums: the
+    label of the edge entering point2 - 2 * sum_{j != r} e_j in direction r."""
+    l = fam.l
+    total = 0
+    for s in subsets_of(l, proper=True):
+        if r in s:
+            continue
+        total += (-1) ** (l - 1 - len(s)) * r_sum(fam, s, point2, r)
+    return total
+
+
+def theorem_field(fam, grid) -> dict:
+    """Every theorem sum over a grid, {(point2, r): value}, as a flattening
+    of lspace._theorem_rows.  grid holds one sorted list of doubled values
+    per axis, and the points are their product."""
+    heads = list(itertools.product(*grid[:-1]))
+    return {(head + (x,), r): v
+            for r, rows in enumerate(_theorem_rows(fam, grid), start=1)
+            for head, row in zip(heads, rows.values())
+            for x, v in zip(grid[-1], row)}
 
 
 def theorem_check_per_point(prof, box=None, margin=2):

@@ -108,15 +108,31 @@ def _negated_copy_as_21(data):
         {"e2": t["e2"], "c": -t["c"]} for t in data["delta"]["12"]["terms"]]}
 
 
+def _component_1_keyed_11(data):
+    for name in ("delta", "signs"):
+        data[name]["11"] = data[name].pop("1")
+
+
+def _repeated_top_exponent(data):
+    data["delta"]["12"]["terms"].insert(0, {"e2": [-3, -3], "c": 5})
+
+
 @pytest.mark.parametrize("field, spoil", [
     ("delta", lambda d: _first_unit_term(d).update(c=1.4)),
     ("delta", lambda d: _first_unit_term(d).update(c="1")),
     ("lk", lambda d: d.update(lk=[[0, 2.7], [2.7, 0]])),
     ("delta", _negated_copy_as_21),      # a second key for sublink 12
-], ids=["coefficient-1.4", "coefficient-string", "lk-2.7", "key-21-after-12"])
+    ("delta", lambda d: _first_unit_term(d).update(c=True)),
+    ("lk", lambda d: d.update(lk=[[0, True], [True, 0]])),
+    ("delta", _component_1_keyed_11),    # a key naming component 1 twice
+    ("delta", _repeated_top_exponent),   # two terms at one exponent
+], ids=["coefficient-1.4", "coefficient-string", "lk-2.7", "key-21-after-12",
+        "coefficient-true", "lk-true", "key-11", "repeated-e2"])
 def test_inexact_profile_numbers_are_refused(tmp_path, capsys, field, spoil):
-    # b(20,-3) with one number that int() would truncate, or one sublink
-    # named twice: each used to pass the check on a different profile.
+    # b(20,-3) with one number that int() would truncate or that is a JSON
+    # boolean, a sublink named twice or by a repeated component, or one
+    # exponent given twice: each used to pass or fail the check on a
+    # different profile.
     data = two_bridge_profile(TwoBridge(20, -3)).to_json()
     spoil(data)
     path = tmp_path / "prof.json"

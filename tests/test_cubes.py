@@ -4,10 +4,10 @@ from collections import Counter
 
 import pytest
 
+from conftest import enumerate_valid_labelings, facet, validate
 from lfk.cubes import (Completion, CubeLabeling, GradedVS, complete_subgraph,
-                       corner_homology, edges, enumerate_valid_labelings,
-                       euler_char, facet, oracle_corner_homology, validate,
-                       vertex_gradings, vertices)
+                       corner_homology, edges, euler_char,
+                       oracle_corner_homology, vertex_gradings, vertices)
 from lfk.errors import (DimensionUnsupported, IncompleteLabels,
                         InvalidLabeling, OddGrading)
 

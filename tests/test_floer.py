@@ -8,14 +8,14 @@ import pytest
 import lfk.floer
 import lfk.lspace
 from conftest import (build_digests, corner_table_per_point,
-                      cross_check_per_point, cube_at, hat_per_point,
-                      knot_one_negated, random_profile,
-                      split_union_with_unknot)
+                      cross_check_per_point, cube_at,
+                      enumerate_valid_labelings, hat_per_point,
+                      knot_one_negated, labels, random_profile,
+                      split_union_with_unknot, theorem_sum)
 from lfk.bridge import TwoBridge, signature
 from lfk.cli import all_candidates, family_links
 from lfk.cubes import (GradedVS, _corner_at, _corner_from_grading_key,
-                       complete_subgraph, corner_homology,
-                       enumerate_valid_labelings, euler_char,
+                       complete_subgraph, corner_homology, euler_char,
                        vertex_gradings)
 from lfk.errors import HypothesisNotMet, NotLSpaceLink, RegionUnstable
 from lfk.floer import (_SWEEP_ORDERS, HFLTable, _cube_rule,
@@ -24,8 +24,7 @@ from lfk.floer import (_SWEEP_ORDERS, HFLTable, _cube_rule,
 from lfk.laurent import MultiLaurent
 from lfk.lspace import (LinkProfile, box_points, cor_alex2_check, default_box,
                         m_vector, normalized_family, theorem_alex_check,
-                        theorem_sum, two_bridge_profile, unknot_profile,
-                        unlink_profile)
+                        two_bridge_profile, unknot_profile, unlink_profile)
 
 
 def vs(*pairs):
@@ -75,7 +74,7 @@ def test_unlink_euler_vanishes():
 def test_b20_stable_region_edges_vanish():
     prof = fixed_profile(20, -3)
     tg = build_tgraph(prof)
-    for (p, j), v in tg.labels.items():
+    for (p, j), v in labels(tg).items():
         if p[j - 1] >= tg.m2[j - 1] + 2:
             assert v == 0
 
@@ -243,7 +242,7 @@ def test_sublink_refusal_names_link_coordinates():
 def test_g_field_is_path_independent():
     for alpha, beta in ((20, -3), (8, -3), (2, 1)):
         tg = build_tgraph(fixed_profile(alpha, beta))
-        for (p, j), v in tg.labels.items():
+        for (p, j), v in labels(tg).items():
             down = tuple(x - (2 if k == j - 1 else 0) for k, x in enumerate(p))
             if p in tg.g and down in tg.g:
                 assert tg.g[p] - tg.g[down] == 2 * v
@@ -254,7 +253,7 @@ def test_sweep_order_determinism():
         prof = fixed_profile(alpha, beta)
         a = build_tgraph(prof, sweep_order="sum")
         b = build_tgraph(prof, sweep_order="lex")
-        assert a.labels == b.labels and a.g == b.g
+        assert labels(a) == labels(b) and a.g == b.g
 
 
 def test_unknown_sweep_order_is_refused(monkeypatch):
@@ -281,7 +280,7 @@ def test_margin_enlargement_is_consistent():
     prof = fixed_profile(20, -3)
     small = build_tgraph(prof, margin=2)
     big = build_tgraph(prof, margin=4)
-    for (p, j), v in small.labels.items():
+    for (p, j), v in labels(small).items():
         assert big.label_at(p, j) == v
     t_small = hfl_minus(prof, small)
     t_big = hfl_minus(prof, big)

@@ -3,10 +3,9 @@ import random
 
 import pytest
 
-from conftest import rand_nonzero, rand_poly
+from conftest import diagonal, involution, rand_nonzero, rand_poly, restrict
 from lfk.errors import CosetMismatch, NotDivisible
-from lfk.laurent import (MultiLaurent, TailPoly, diagonal, exact_div,
-                         restrict)
+from lfk.laurent import MultiLaurent, TailPoly, exact_div
 
 U1U2 = MultiLaurent(2, {(2, 2): 1})
 ONE = MultiLaurent.const(2, 1)
@@ -142,7 +141,7 @@ def test_derived_polynomials_hold_the_invariants():
         p = rand_poly(rng, nvars=nvars)
         shift = tuple(rng.randint(-5, 5) for _ in range(nvars))
         derived = [-p, p * rng.choice((-3, -1, 2, 5)), 7 * p, p.shifted(shift),
-                   p.involution()]
+                   involution(p)]
         if nvars == 2:
             derived += [restrict(p, i, j2) for i in (1, 2)
                         for j2 in {e2[i - 1] for e2 in p.terms} | {1, 2}]

@@ -6,15 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (cor_check_per_column, random_profile, screen_digests,
-                      split_union_with_unknot, theorem_check_per_point)
+from conftest import (cor_check_per_column, r_sum, random_profile,
+                      screen_digests, split_union_with_unknot, sub_profile,
+                      theorem_check_per_point, theorem_field, theorem_sum)
 from lfk.bridge import TwoBridge
 from lfk.cli import family_links
 from lfk.errors import CosetViolation, RegionUnstable
 from lfk.laurent import MultiLaurent, TailPoly
 from lfk.lspace import (LinkProfile, box_points, cor_alex2_check, default_box,
-                        m_vector, normalized_family, r_sum,
-                        theorem_alex_check, theorem_field, theorem_sum,
+                        m_vector, normalized_family, theorem_alex_check,
                         two_bridge_profile, unknot_profile, unlink_profile)
 
 B20_P_EMPTY = MultiLaurent(2, {
@@ -310,7 +310,7 @@ def _recursive_corner(prof):
         cands = [] if p0.is_zero() else [p0.max_exp2(i)]
         for j in range(1, prof.l + 1):
             if j != i:
-                sub = _recursive_corner(prof.sub_profile(prof.full() - {j}))
+                sub = _recursive_corner(sub_profile(prof, prof.full() - {j}))
                 cands.append(sub[i - (j < i) - 1] + prof.lkval(i, j))
         out.append(max(cands))
     return tuple(out)
@@ -334,7 +334,7 @@ def _recursive_box(prof, margin):
     if not isinstance(p0, TailPoly) and p0.is_zero():
         for j in range(1, prof.l + 1):
             keep = [k for k in range(1, prof.l + 1) if k != j]
-            sub = _recursive_box(prof.sub_profile(frozenset(keep)), margin)
+            sub = _recursive_box(sub_profile(prof, frozenset(keep)), margin)
             for k, (lo, hi) in zip(keep, sub):
                 shift = prof.lkval(k, j)
                 box[k - 1] = (min(box[k - 1][0], lo + shift),
@@ -380,7 +380,7 @@ def test_profile_json_roundtrip():
 
 def test_sub_profile():
     prof = b20_profile()
-    sub = prof.sub_profile(frozenset({2}))
+    sub = sub_profile(prof, frozenset({2}))
     assert sub.l == 1
     assert sub.delta[frozenset({1})] == MultiLaurent.const(1, 1)
 
