@@ -86,23 +86,9 @@ CSV_COLUMNS = ["alpha", "beta", "p", "q", "cor_alex2", "tgraph",
                "sigma_cross", "family", "class_id"]
 
 
-def _beta_from_residue(alpha: int, r: int) -> int:
-    return r if r < alpha else r - 2 * alpha
-
-
-def class_representative(alpha: int, beta: int) -> TwoBridge:
-    """Smallest residue in the reversal-inclusive equivalence class."""
-    r = min(equivalence_orbit(alpha, beta))
-    return TwoBridge(alpha, _beta_from_residue(alpha, r))
-
-
-def _class_id(rep: TwoBridge) -> str:
-    """Class id of a representative: alpha and its (smallest) residue."""
-    return f"{rep.alpha}:{rep.beta % (2 * rep.alpha)}"
-
-
 def class_id_of(alpha: int, beta: int) -> str:
-    return _class_id(class_representative(alpha, beta))
+    """Class id: alpha and the smallest residue of the class's orbit."""
+    return f"{alpha}:{min(equivalence_orbit(alpha, beta))}"
 
 
 def all_candidates(max_alpha: int):
@@ -155,14 +141,14 @@ def classify(max_alpha: int, margin: int | None = None) -> list[SweepRecord]:
     if max_alpha < 2:
         raise ValueError("max_alpha must be at least 2")
     margin = resolve_margin(margin)
-    reps = {}
-    for cand in all_candidates(max_alpha):
-        rep = class_representative(cand.alpha, cand.beta)
-        reps.setdefault(_class_id(rep), rep)
     family_ids = _family_ids(max_alpha)
     records = []
-    for cid, rep in sorted(reps.items(), key=lambda kv: (kv[1].alpha,
-                                                         kv[1].beta)):
+    # Candidates come in (alpha, beta) order; each class keeps the one whose
+    # residue is its orbit minimum.
+    for rep in all_candidates(max_alpha):
+        cid = class_id_of(rep.alpha, rep.beta)
+        if cid != f"{rep.alpha}:{rep.beta % (2 * rep.alpha)}":
+            continue
         fam = cid in family_ids
         try:
             records.append(_pipeline(rep, cid, fam, margin))

@@ -77,12 +77,6 @@ class GradedVS:
     def shifted(self, d: int) -> GradedVS:
         return GradedVS(tuple((g + d, m) for g, m in self.dims))
 
-    def __add__(self, other: GradedVS) -> GradedVS:
-        out = dict(self.dims)
-        for g, m in other.dims:
-            out[g] = out.get(g, 0) + m
-        return GradedVS.from_dict(out)
-
     def __repr__(self):
         if not self.dims:
             return "0"

@@ -20,20 +20,21 @@ in one downward pass per sublink, all in the link's coordinates:
 
 The construction refuses inputs for which no consistent field exists: such
 inputs cannot be L-space links.  The homology table assigns to each lattice
-point the corner homology of its unit cube.  The cube sweep, the corner
-table and the hat groups read g through one set of cube offsets and answer
-from memos, keyed by a cube's upper gradings less the first (its rules
-commute with a shift), by its vertex gradings, and by the table's nonzero
-points.  The sweep orders list cube origins without a keyed sort, and the
-alternating cross-check visits only the points where the hat hypothesis
-holds and the group or the predicted coefficient is nonzero.
+point the corner homology of its unit cube.  The cube sweep and the corner
+table read g through one set of cube offsets and answer from memos, keyed
+by a cube's upper gradings less the first (its rules commute with a shift)
+and by its vertex gradings.  The sweep orders list cube origins without a
+keyed sort.  The hat hypothesis is one map, ``HFLTable.blocked``, from
+each point where it fails to its first nonzero up-offset: the hat groups
+read it, and the alternating cross-check visits only the points outside
+it where the group or the predicted coefficient is nonzero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import add
+from operator import add, sub
 
 from .cubes import (GradedVS, _corner_at, complete_subgraph, euler_char,
                     vertices)
@@ -66,10 +67,9 @@ class TGraph:
     store_hi: tuple
 
     def label_at(self, p2, j: int) -> int:
-        """Total lookup: 0 beyond the corner, g differences inside the
-        stored region, and row-repeating clamps outside it."""
-        if p2[j - 1] >= self.m2[j - 1] + 2:
-            return 0
+        """g differences inside the stored region and row-repeating clamps
+        outside it; beyond the corner the clamp stays on the slab p_j >= m_j
+        (box tops are at least m + 4), where g is constant along j."""
         q = [min(max(x, lo), hi)
              for x, lo, hi in zip(p2, self.store_lo, self.store_hi)]
         q[j - 1] = max(q[j - 1], self.store_lo[j - 1] + 2)
@@ -269,6 +269,21 @@ class HFLTable:
         """The points whose group is nonzero."""
         return frozenset(s for s, vs in self.table.items() if not vs.is_zero())
 
+    @cached_property
+    def blocked(self) -> dict:
+        """Each tabulated point where the hat hypothesis fails, mapped to
+        its first 0/1 offset eps in ``vertices`` order with a nonzero group
+        at s2 + 2 eps.  Other up-neighbours lie beyond the corner (box tops
+        are at least m + 4), so the nonzero points decide it."""
+        out = {}
+        for d in _cube_offsets(self.tgraph.l)[1:]:
+            eps = tuple([x // 2 for x in d])
+            for s in self.nonzero:
+                t = tuple(map(sub, s, d))
+                if t in self.table:
+                    out.setdefault(t, eps)
+        return out
+
     def entry(self, s2) -> GradedVS:
         """The group at a lattice point: tabulated over the box and 0 beyond
         the corner; other points raise ValueError."""
@@ -328,21 +343,9 @@ def hfl_hat(table: HFLTable, s2) -> GradedVS:
     """
     s2 = tuple(s2)
     here = table.entry(s2)
-    if (eps := _first_nonzero_up(table, s2)) is not None:
+    if (eps := table.blocked.get(s2)) is not None:
         raise HypothesisNotMet(eps)
     return here
-
-
-def _first_nonzero_up(table: HFLTable, s2):
-    """The first nonzero 0/1 offset eps, in ``vertices`` order, with a
-    nonzero group at s2 + 2 eps, or None; the cross-check reads the same
-    fact down from each nonzero point.  Wherever entry(s2) is defined, each
-    s2 + 2 eps is in the table or beyond the corner (every box top is at
-    least m + 4), so membership in the nonzero set decides it."""
-    for d in _cube_offsets(table.tgraph.l)[1:]:
-        if tuple(map(add, s2, d)) in table.nonzero:
-            return tuple([x // 2 for x in d])
-    return None
 
 
 # (1 - 1/u1)(1 - 1/u2), the factor of the alternating model.
@@ -355,11 +358,6 @@ class CrossReport:
     ok: bool
     mismatches: tuple   # (s2, reason)
     checked: int
-
-    def to_json(self):
-        return {"ok": self.ok, "checked": self.checked,
-                "mismatches": [{"s2": list(s), "reason": r}
-                               for s, r in self.mismatches]}
 
 
 def alternating_cross_check(prof: LinkProfile, sigma: int,
@@ -384,12 +382,10 @@ def alternating_cross_check(prof: LinkProfile, sigma: int,
     if sigma % 2 == 0:
         raise ValueError("two-bridge link signatures are odd")
     derived = _ALT_FACTOR * p0
-    # The hypothesis fails exactly one up-offset below a nonzero group; where
-    # it holds, a zero group can only mismatch a nonzero coefficient, so the
-    # rest are checked without a visit.  Ascending points are box order.
-    pts = table.table.keys()
-    blocked = pts & {tuple([x - y for x, y in zip(s, d)])
-                     for s in table.nonzero for d in _cube_offsets(2)[1:]}
+    # Where the hypothesis holds, a zero group can only mismatch a nonzero
+    # coefficient, so the rest are checked without a visit.  Ascending
+    # points are box order.
+    pts, blocked = table.table.keys(), table.blocked.keys()
     visit = (table.nonzero | (derived.terms.keys() & pts)) - blocked
     mismatches = []
     for s in sorted(visit):

@@ -49,9 +49,10 @@ class LinkProfile:
 
     delta maps each nonempty subset of {1..l} to the Alexander polynomial of
     that sublink, in the subset's own variables (ordered by component index).
-    signs carries "+", "-" or "auto" per subset; the polynomials stored in
-    delta are the ones used by every computation, and flipping a sign means
-    replacing the stored polynomial by its negative.
+    signs carries "+" or "auto" per subset; the polynomials stored in delta
+    are the ones used by every computation.  "+" pins the stored polynomial,
+    "auto" lets its sign be searched; flipping a sign means replacing the
+    stored polynomial by its negative and pinning it.
     """
 
     l: int
@@ -83,8 +84,10 @@ class LinkProfile:
             raise ValueError(f"sign flag {subset_key(m)!r} names no sublink")
         for m in want:
             signs.setdefault(m, "auto")
-        if any(v not in ("+", "-", "auto") for v in signs.values()):
-            raise ValueError("sign flags must be '+', '-' or 'auto'")
+        for m, v in signs.items():
+            if v not in ("+", "auto"):
+                raise ValueError(f"sign flag {subset_key(m)!r} must be '+' "
+                                 f"or 'auto', not {v!r}")
         object.__setattr__(self, "signs", signs)
         self._check_cosets()
 
@@ -95,8 +98,7 @@ class LinkProfile:
                 par = poly.parity(pos)
                 if par is None:
                     continue
-                lk_inside = sum(self.lkval(i, j) for j in comps if j != i)
-                want = (lk_inside + (1 if len(m) > 1 else 0)) & 1
+                want = (self.lk_with(i, m) + (1 if len(m) > 1 else 0)) & 1
                 if par != want:
                     raise CosetViolation(
                         f"delta[{subset_key(m)}] variable u{pos} exponents lie "
@@ -109,12 +111,9 @@ class LinkProfile:
         """Total linking number of component i with the sublink s."""
         return sum(self.lkval(i, j) for j in s if j != i)
 
-    def lk_total(self, i: int) -> int:
-        return self.lk_with(i, range(1, self.l + 1))
-
     def coset_parity(self, i: int) -> int:
         """Parity of the doubled coordinates of the lattice in direction i."""
-        return self.lk_total(i) & 1
+        return self.lk_with(i, self.full()) & 1
 
     def full(self) -> Subset:
         return frozenset(range(1, self.l + 1))

@@ -15,9 +15,8 @@ import lfk.lspace
 from conftest import knot_one_negated
 from lfk.bridge import TwoBridge
 from lfk.cli import (SweepRecord, _pipeline, all_candidates, class_id_of,
-                     class_representative, classify, classification_summary,
-                     equivalence_orbit, family_links, main, records_from_csv,
-                     records_to_csv)
+                     classify, classification_summary, equivalence_orbit,
+                     family_links, main, records_from_csv, records_to_csv)
 from lfk.errors import RegionUnstable
 from lfk.lspace import (cor_alex2_check, normalized_family, two_bridge_profile,
                         unknot_profile, unlink_profile)
@@ -97,6 +96,24 @@ def test_malformed_profile_is_a_usage_error(tmp_path, capsys):
             captured = capsys.readouterr()
             assert captured.err.startswith("error: "), (cmd, text)
             assert name in captured.err and captured.out == "", (cmd, text)
+
+
+def test_minus_sign_flag_is_refused(tmp_path, capsys):
+    # "-" was accepted and read like "+": b(20,-3) with "12": "-" was
+    # refused (exit 2) exactly as when pinned "+", not negated.
+    for key in ("12", "1"):
+        data = two_bridge_profile(TwoBridge(20, -3)).to_json()
+        data["signs"][key] = "-"
+        with pytest.raises(ValueError, match="sign flag"):
+            lfk.lspace.LinkProfile.from_json(data)
+        path = tmp_path / f"prof{key}.json"
+        path.write_text(json.dumps(data))
+        for cmd in ("check", "tgraph", "hfl"):
+            assert main([cmd, "--profile", str(path)]) == 1, (cmd, key)
+            captured = capsys.readouterr()
+            assert captured.err == (f"error: sign flag {key!r} must be '+' "
+                                    "or 'auto', not '-'\n"), (cmd, key)
+            assert captured.out == "", (cmd, key)
 
 
 def _first_unit_term(data):
@@ -418,8 +435,9 @@ def test_abbreviated_list_options_need_no_equals(capsys):
 def test_equivalence_orbit_and_representative():
     orbit = equivalence_orbit(20, -3)
     assert orbit == {37, 13, 17, 33}
-    rep = class_representative(20, -3)
-    assert (rep.alpha, rep.beta) == (20, 13)
+    # The sweep's row for a class is the candidate at its orbit minimum.
+    rows = {r.class_id: (r.alpha, r.beta) for r in classify(20)}
+    assert rows["20:13"] == (20, 13)
     assert class_id_of(20, -3) == "20:13" == class_id_of(20, -7)
 
 

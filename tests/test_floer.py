@@ -437,12 +437,17 @@ def test_one_pass_readers_match_per_point_route_on_two_bridge_links():
 
 
 def test_hat_matches_per_point_route():
-    # b(20,-3) over its box, where the hypothesis fails at many points, and
-    # the unlinks of two and three components.
-    for prof in (fixed_profile(20, -3), unlink_profile(2), unlink_profile(3)):
+    # b(20,-3) over its box, where the hypothesis fails at many points, the
+    # unlinks of two and three components, and the split unions of b(20,-3)
+    # and b(14,-5) with an unknot, where most blocked points have more than
+    # one nonzero up-offset.  Each box is read one step beyond its top too.
+    b20 = fixed_profile(20, -3)
+    for prof in (b20, unlink_profile(2), unlink_profile(3),
+                 split_union_with_unknot(b20),
+                 split_union_with_unknot(fixed_profile(14, -5))):
         table = hfl_minus(prof)
         held = [_hat_matches_per_point_route(table, s)
-                for s in box_points(table.box)]
+                for s in box_points([(lo, hi + 2) for lo, hi in table.box])]
         assert any(held) and not all(held)
         assert table.table == corner_table_per_point(table.tgraph)
 
