@@ -10,12 +10,12 @@ from lfk.cubes import (CubeLabeling, _corner_from_grading_key, edges,
                        vertex_gradings, vertices)
 from lfk.errors import (HypothesisNotMet, InvalidLabeling, LfkError,
                         RegionUnstable)
-from lfk.floer import CrossReport, _g_step, build_tgraph
+from lfk.floer import CrossReport, _g_step, build_tgraph, hfl_minus
 from lfk.laurent import MultiLaurent, TailPoly, exact_div
 from lfk.lspace import (CorReport, LinkProfile, TheoremReport, _theorem_rows,
                         box_points, cor_alex2_check, default_box,
                         normalized_family, subsets_of, theorem_alex_check,
-                        two_bridge_profile)
+                        two_bridge_profile, unlink_profile)
 
 
 def rand_poly(rng: random.Random, nvars=2, max_terms=8, span=4, parity=None):
@@ -341,6 +341,46 @@ def build_digests(alpha, beta, sign):
             out = [type(err).__name__, str(err)]
         row.append(_digest(out))
     return row
+
+
+def build3_inputs():
+    """The named three-component inputs of tests/data/build3.csv: the split
+    unions with an unknot of the unlink of two components, of each family
+    member b(qk-1,-k) with alpha <= 16 and of b(20,-3), each with the sign
+    cor_alex2_check pins; the unlink of three components with component 1
+    as given and negated; and the b(20,-3) union with Delta_123 replaced by
+    c u^(1/2,1/2,1/2), which the sweep refuses, for c = 1, -1 and 2."""
+    members = sorted({(q * k - 1, -k) for k in range(1, 18, 2)
+                      for q in range(1, 18, 2) if k < q * k - 1 <= 16})
+    out = [("split unlink2", split_union_with_unknot(unlink_profile(2)))]
+    for alpha, beta in [*members, (20, -3)]:
+        prof = two_bridge_profile(TwoBridge(alpha, beta))
+        prof = prof.with_signs({prof.full(): cor_alex2_check(prof).sign})
+        out.append((f"split b({alpha},{beta})", split_union_with_unknot(prof)))
+    b20 = out[-1][1]
+    out += [("unlink3", unlink_profile(3)),
+            ("unlink3 negated", knot_one_negated(unlink_profile(3)))]
+    for c in (1, -1, 2):
+        delta = {**b20.delta, b20.full(): MultiLaurent(3, {(1, 1, 1): c})}
+        out.append((f"split b(20,-3), Delta_123 = {c}",
+                    LinkProfile(3, b20.lk, delta, b20.signs)))
+    return out
+
+
+def build3_digests(name, prof):
+    """The rows of tests/data/build3.csv for one input: per margin, 2 and 4,
+    and sweep order, sum and lex, the sha256 of the canonical JSON of the
+    graph and its corner table (or of the refusal's type and text)."""
+    rows = []
+    for margin in (2, 4):
+        for order in ("sum", "lex"):
+            try:
+                tg = build_tgraph(prof, margin=margin, sweep_order=order)
+                out = [tg.to_json(), hfl_minus(prof, tg).to_json()]
+            except LfkError as err:
+                out = [type(err).__name__, str(err)]
+            rows.append([name, str(margin), order, _digest(out)])
+    return rows
 
 
 # -- per-point readers: a second route to the corner table and hat groups -----

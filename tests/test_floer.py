@@ -1,14 +1,15 @@
 import csv
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
 
 import lfk.floer
 import lfk.lspace
-from conftest import (build_digests, corner_table_per_point,
-                      cross_check_per_point, cube_at,
+from conftest import (build3_digests, build3_inputs, build_digests,
+                      corner_table_per_point, cross_check_per_point, cube_at,
                       enumerate_valid_labelings, hat_per_point,
                       knot_one_negated, labels, random_profile,
                       split_union_with_unknot, theorem_sum)
@@ -478,6 +479,26 @@ def test_build_matches_pinned_digests():
     for row_want, row_got in zip(want, got):
         assert row_got == row_want, f"first difference at {row_want[:3]}"
     assert len(got) == len(want) == 1492
+
+
+def test_three_component_builds_match_pinned_digests():
+    # Digests of the graph and its corner table (or of the refusal) at
+    # margins 2 and 4 under both sweep orders, recorded by build3_digests
+    # while g was a dict keyed by points.  The last three inputs are refused
+    # inside the sweep.
+    path = Path(__file__).parent / "data" / "build3.csv"
+    with open(path, newline="") as fh:
+        want = list(csv.reader(fh))[1:]
+    inputs = build3_inputs()
+    got = [row for name, prof in inputs for row in build3_digests(name, prof)]
+    assert got == want
+    assert len(got) == 4 * len(inputs) == 72
+    for name, prof in inputs[-3:]:
+        c = prof.delta[prof.full()].terms[(1, 1, 1)]
+        with pytest.raises(NotLSpaceLink, match=re.escape(
+                "forced cube at (2, 2, 2) has Euler characteristic 0, "
+                f"need coefficient {c}")):
+            build_tgraph(prof)
 
 
 def test_memos_match_the_direct_rules():
