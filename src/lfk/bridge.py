@@ -225,13 +225,14 @@ def signature_of_matrix(mat) -> int:
                     m[i][k] += m[j][k]
         d = m[i][i]
         sig += 1 if d > 0 else -1
-        for r in range(i + 1, n):
+        # Only the pivot row's nonzero columns (its column's nonzero rows,
+        # by symmetry) take part; every other update would subtract 0.
+        nz = [k for k in range(i, n) if m[i][k] != 0]
+        for r in nz[1:]:
             f = m[r][i] / d
-            if f == 0:
-                continue
-            for k in range(i, n):
+            for k in nz:
                 m[r][k] -= f * m[i][k]
-            for k in range(i, n):
+            for k in nz:
                 m[k][r] -= f * m[k][i]
     return sig
 

@@ -20,10 +20,12 @@ in one downward pass per sublink, all in the link's coordinates:
 
 The construction refuses inputs for which no consistent field exists: such
 inputs cannot be L-space links.  The homology table assigns to each lattice
-point the corner homology of its unit cube.  The cube sweep and the corner
-table read g through one set of cube offsets and answer from memos, keyed
-by a cube's upper gradings less the first (its rules commute with a shift)
-and by its vertex gradings.  The sweep orders list cube origins without a
+point the corner homology of its unit cube.  g is stored flat in
+``box_points`` order and walked by integer strides: the prefill copies runs
+of a sublink's values, the sweep and the table read a cube's vertices at
+fixed offsets, the table as row slices.  They answer from memos, keyed by a
+cube's upper gradings less the first (its rules commute with a shift) and
+by its vertex gradings.  The sweep orders list cube origins without a
 keyed sort.  The hat hypothesis is one map, ``HFLTable.blocked``, from
 each point where it fails to its first nonzero up-offset: the hat groups
 read it, and the alternating cross-check visits only the points outside
@@ -34,7 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import add, sub
+from itertools import accumulate, chain, product, repeat
+from operator import mul, sub
 
 from .cubes import (GradedVS, _corner_at, complete_subgraph, euler_char,
                     vertices)
@@ -49,40 +52,40 @@ from .lspace import (LinkProfile, NormalizedFamily, _box, _checked_box,
 class TGraph:
     """Top gradings over a box of the Alexander lattice.
 
-    g maps (doubled) points of the stored region to the even top grading of
-    the sublevel tower, normalized to 0 in the stable region; it is the one
-    stored field.  The label of the edge entering a point from below in a
-    direction is half the difference of g across that edge.  Labels repeat
-    verbatim below the box (checked during construction), so lookups outside
-    the stored region clamp back into it.  family is the normalized family
-    g was built from, under the sign assignment that built it.
+    values holds the even top grading of the sublevel tower at each
+    (doubled) point of the stored region zip(store_lo, store_hi), in
+    ``box_points`` order, normalized to 0 in the stable region; it is the
+    one stored field, and g is its view keyed by point.  The label of the
+    edge entering a point from below in a direction is half the difference
+    of g across that edge.  Labels repeat verbatim below the box (checked
+    during construction).  family is the normalized family g was built
+    from, under the sign assignment that built it.
     """
 
     l: int
     box: tuple                      # user-facing per-coordinate (lo2, hi2)
     m2: tuple
-    g: dict
+    values: tuple
     family: NormalizedFamily
     store_lo: tuple
     store_hi: tuple
 
-    def label_at(self, p2, j: int) -> int:
-        """g differences inside the stored region and row-repeating clamps
-        outside it; beyond the corner the clamp stays on the slab p_j >= m_j
-        (box tops are at least m + 4), where g is constant along j."""
-        q = [min(max(x, lo), hi)
-             for x, lo, hi in zip(p2, self.store_lo, self.store_hi)]
-        q[j - 1] = max(q[j - 1], self.store_lo[j - 1] + 2)
-        return _g_step(self.g, tuple(q), j)
+    @cached_property
+    def g(self) -> dict:
+        return dict(zip(box_points(zip(self.store_lo, self.store_hi)),
+                        self.values))
 
     def to_json(self) -> dict:
-        pts = list(box_points(self.box))
+        # Box points lie 2 steps above the stored bottom: no label clamps.
+        v, rect = self.values, _stored(self.box)
+        steps = list(enumerate(_strides(rect), start=1))
+        pts = list(zip(box_points(self.box), _flat(rect, self.box)))
         return {
             "box": [list(b) for b in self.box],
             "m2": list(self.m2),
-            "labels": [{"s2": list(p), "dir": j, "l": self.label_at(p, j)}
-                       for p in pts for j in range(1, self.l + 1)],
-            "g": [{"s2": list(p), "g": self.g[p]} for p in pts],
+            "labels": [{"s2": list(p), "dir": j, "l": (v[k] - v[k - st]) // 2}
+                       for p, k in pts for j, st in steps],
+            "g": [{"s2": list(p), "g": v[k]} for p, k in pts],
             "stabilized_below": True,   # construction refuses otherwise
         }
 
@@ -136,51 +139,52 @@ def _build_resolved(prof, box, margin, order) -> TGraph:
         user_box = _hull(user_box, [(lo - (lo - c) % 2, hi + (hi - c) % 2)
                                     for (lo, hi), c in zip(box, cosets)])
     g = _field(fam, frozenset(), user_box, margin, order)
-    return TGraph(prof.l, user_box, _corner(fam, frozenset()), g, fam,
-                  tuple(lo - 4 for lo, _ in user_box),
-                  tuple(hi for _, hi in user_box))
+    return TGraph(prof.l, user_box, _corner(fam, frozenset()), tuple(g), fam,
+                  *zip(*_stored(user_box)))
 
 
-def _field(fam, s_set, box, margin, order) -> dict:
-    """g of the sublink L - S over its box and two steps below it, keyed by
-    points on the components outside S in the link's coordinates; fam[S]
-    gives the Euler characteristics of its cubes."""
+def _field(fam, s_set, box, margin, order) -> list:
+    """g of the sublink L - S over the stored region of its box (the box and
+    two steps below it), flat in ``box_points`` order, on the components
+    outside S in the link's coordinates; fam[S] gives the Euler
+    characteristics of its cubes."""
     p0 = fam[s_set]
+    rect = _stored(box)
     if isinstance(p0, TailPoly):
         # One component remains: the label entering p is the tail
         # coefficient at p, and g is 0 at the top of the box.  The box
         # reaches below the tail's numerator, where the labels are constant.
-        (lo, hi), = box
-        for p in range(lo - 4, hi + 1, 2):
-            a = p0.coeff(p)
+        (lo, hi), = rect
+        coeffs = [p0.coeff(p) for p in range(lo, hi + 1, 2)]
+        for p, a in zip(range(lo, hi + 1, 2), coeffs):
             if a not in (0, 1):
                 raise NotLSpaceLink(
                     f"normalized coefficient {a} at exponent {p}/2; "
                     "not an L-space knot profile (or wrong sign)")
-        g = {(hi,): 0}
-        for p in range(hi - 2, lo - 5, -2):
-            g[(p,)] = g[(p + 2,)] - 2 * p0.coeff(p + 2)
-        return g
+        return list(accumulate([-2 * a for a in coeffs[:0:-1]],
+                               initial=0))[::-1]
 
     l = len(box)
     m2 = _corner(fam, s_set)
-    rect = tuple((lo - 4, hi) for lo, hi in box)
-    subs = []
-    for pos, i in enumerate(j for j in range(1, fam.l + 1) if j not in s_set):
-        sub_box = _hull(_box(fam, s_set | {i}, margin),
-                        rect[:pos] + rect[pos + 1:])
-        subs.append(_field(fam, s_set | {i}, sub_box, margin, order))
-
+    strides = _strides(rect)
+    g = [None] * strides[0] * _length(rect[0])
     # Stable prefill: on the slab p_i >= m_i the grading is that of the
     # sublink without component i, read at the same point.  Where slabs i
     # and j overlap the first is taken: both repeat the field of the
-    # sublink without i and j there.
-    g = {}
-    for p in box_points(rect):
-        for pos, sub in enumerate(subs):
-            if p[pos] >= m2[pos]:
-                g[p] = sub[p[:pos] + p[pos + 1:]]
-                break
+    # sublink without i and j there.  So at each point below the corner on
+    # the axes before pos, slab pos is one run of the flat values.
+    for pos, i in enumerate(j for j in range(1, fam.l + 1) if j not in s_set):
+        sub_box = _hull(_box(fam, s_set | {i}, margin),
+                        rect[:pos] + rect[pos + 1:])
+        sub_g = _field(fam, s_set | {i}, sub_box, margin, order)
+        heads = tuple((lo, m - 2) for (lo, _), m in zip(rect, m2[:pos]))
+        block = _window(sub_g, _stored(sub_box), heads + rect[pos + 1:])
+        first = max(m2[pos], rect[pos][0])
+        size, run = strides[pos], _length((first, rect[pos][1]))
+        starts = _flat(rect, heads + ((first, first),)
+                       + tuple((lo, lo) for lo, _ in rect[pos + 1:]))
+        for t, k in enumerate(starts):
+            g[k:k + size * run] = block[t * size:(t + 1) * size] * run
 
     # Interior sweep: the cube at s has its origin s - 1 below every slab;
     # its other vertices are graded before it, and of its completions the
@@ -188,17 +192,20 @@ def _field(fam, s_set, box, margin, order) -> dict:
     # origin.  Every other cube lies in a slab, where g is constant along
     # the slab direction and the coefficient is 0, so its Euler
     # characteristic holds as well.  The sweep walks the doubled origins
-    # s - 2, with the coefficient at s read off p0 shifted down by 2.
+    # s - 2, with the coefficient at s read off p0 shifted down by 2; a
+    # cube's vertices lie at fixed flat offsets from its origin.
     origins = tuple((lo, m - 2) for (lo, _), m in zip(rect, m2))
-    up = _cube_offsets(l)[1:]
+    index = dict(zip(box_points(origins), _flat(rect, origins)))
+    up = [sum(map(mul, d, strides)) // 2 for d in _cube_offsets(l)[1:]]
     coeff_at = p0.shifted((-2,) * l).terms.get
     for origin in order(box_points(origins)):
-        upper = [g[tuple(map(add, origin, d))] for d in up]
+        i = index[origin]
+        upper = [g[i + o] for o in up]
         unique, branches = _cube_rule(l, tuple([x - upper[0] for x in upper]))
         target = coeff_at(origin, 0)
         for d0, chi in branches:
             if chi == target:
-                g[origin] = upper[0] + d0
+                g[i] = upper[0] + d0
                 break
         else:
             s = tuple([x + 2 for x in origin])
@@ -228,23 +235,52 @@ def _cube_offsets(l: int) -> tuple:
     return tuple(tuple(2 * e for e in eps) for eps in vertices(l))
 
 
-def _g_step(g, p2, j: int) -> int:
-    """Half the g difference across the edge entering p2 in direction j."""
-    down = p2[:j - 1] + (p2[j - 1] - 2,) + p2[j:]
-    return (g[p2] - g[down]) // 2
+def _stored(box) -> tuple:
+    """The region a field over box is stored on: the box and two steps
+    below it."""
+    return tuple((lo - 4, hi) for lo, hi in box)
+
+
+def _length(r) -> int:
+    return (r[1] - r[0]) // 2 + 1
+
+
+def _strides(rect) -> list:
+    """The flat-index step of each axis in ``box_points`` order over rect."""
+    out = [1]
+    for r in rect[:0:-1]:
+        out.insert(0, out[0] * _length(r))
+    return out
+
+
+def _flat(rect, window):
+    """The flat indices in rect of the points of window, a box inside it,
+    in ``box_points`` order."""
+    return map(sum, product(*[
+        range((a - lo) // 2 * st, (b - lo) // 2 * st + 1, st)
+        for (a, b), (lo, _), st in zip(window, rect, _strides(rect))]))
+
+
+def _window(values, rect, window) -> list:
+    """The flat values over rect restricted to window, a box inside it, in
+    ``box_points`` order: one slice per row along the last axis."""
+    a, n = window[-1][0], _length(window[-1])
+    starts = _flat(rect, [*window[:-1], (a, a)])
+    return list(chain.from_iterable(values[k:k + n] for k in starts))
 
 
 def _verify_bottom_stability(g, box):
     """One step below the box, the g differences must repeat the bottom row;
     points are scanned in sorted order, so the witness is canonical."""
-    rect = tuple((lo - 4, hi) for lo, hi in box)
+    rect = _stored(box)
+    strides = _strides(rect)
     for axis, (low, _) in enumerate(box):
         row = rect[:axis] + ((low - 2, low - 2),) + rect[axis + 1:]
-        for p in box_points(row):
-            up = p[:axis] + (low,) + p[axis + 1:]
-            for j in range(1, len(box) + 1):
-                if p[j - 1] > rect[j - 1][0] and \
-                        _g_step(g, p, j) != _g_step(g, up, j):
+        for p, k in zip(box_points(row), _flat(rect, row)):
+            u = k + strides[axis]
+            for x, (lo, _), st in zip(p, rect, strides):
+                if x > lo and (g[k] - g[k - st]) // 2 != \
+                        (g[u] - g[u - st]) // 2:
                     raise RegionUnstable(
                         f"labels below the box at {p} differ from the bottom "
                         "row; enlarge the margin (LFK_MARGIN)")
@@ -319,12 +355,14 @@ class HFLTable:
 
 def _corner_table(tg: TGraph) -> dict:
     """Corner homology of each box point's unit cube, read off the gradings
-    of its 2^l vertices: one column of g over the box per cube offset."""
-    cols = [map(tg.g.__getitem__, box_points(
-                [(lo - 2 + e, hi - 2 + e) for (lo, hi), e in zip(tg.box, d)]))
+    of its 2^l vertices: one column of g over the box per cube offset, read
+    as row slices of the flat values."""
+    rect = _stored(tg.box)
+    cols = [_window(tg.values, rect, [(lo - 2 + e, hi - 2 + e)
+                                      for (lo, hi), e in zip(tg.box, d)])
             for d in _cube_offsets(tg.l)]
-    return {s: _corner_at(tg.l, gs)
-            for s, gs in zip(box_points(tg.box), zip(*cols))}
+    return dict(zip(box_points(tg.box),
+                    map(_corner_at, repeat(tg.l), zip(*cols))))
 
 
 def hfl_minus(prof: LinkProfile, tgraph: TGraph | None = None,

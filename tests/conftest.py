@@ -10,7 +10,7 @@ from lfk.cubes import (CubeLabeling, _corner_from_grading_key, edges,
                        vertex_gradings, vertices)
 from lfk.errors import (HypothesisNotMet, InvalidLabeling, LfkError,
                         RegionUnstable)
-from lfk.floer import CrossReport, _g_step, build_tgraph, hfl_minus
+from lfk.floer import CrossReport, build_tgraph, hfl_minus
 from lfk.laurent import MultiLaurent, TailPoly, exact_div
 from lfk.lspace import (CorReport, LinkProfile, TheoremReport, _theorem_rows,
                         box_points, cor_alex2_check, default_box,
@@ -164,6 +164,23 @@ def enumerate_valid_labelings(n: int) -> list[CubeLabeling]:
     return out
 
 
+def _g_step(g, p2, j: int) -> int:
+    """Half the g difference across the edge entering p2 in direction j."""
+    down = p2[:j - 1] + (p2[j - 1] - 2,) + p2[j:]
+    return (g[p2] - g[down]) // 2
+
+
+def label_at(tg, p2, j: int) -> int:
+    """The label of the edge entering p2 in direction j at any lattice
+    point: g differences inside the stored region and row-repeating clamps
+    outside it; beyond the corner the clamp stays on the slab p_j >= m_j
+    (box tops are at least m + 4), where g is constant along j."""
+    q = [min(max(x, lo), hi)
+         for x, lo, hi in zip(p2, tg.store_lo, tg.store_hi)]
+    q[j - 1] = max(q[j - 1], tg.store_lo[j - 1] + 2)
+    return _g_step(tg.g, tuple(q), j)
+
+
 def labels(tg) -> dict:
     """Edge labels of a graph's stored region as g differences, keyed
     (p2, j)."""
@@ -174,14 +191,14 @@ def labels(tg) -> dict:
 
 def cube_at(tg, s2):
     """The unit-cube labeling at a box point, read edge by edge off the
-    graph's total label lookup, and the grading of the cube's origin."""
+    clamped label lookup, and the grading of the cube's origin."""
     lab = {}
     for eps in vertices(tg.l):
         for j in range(1, tg.l + 1):
             if not eps[j - 1]:
                 p = tuple(x - 2 + 2 * e + 2 * (k == j - 1)
                           for k, (x, e) in enumerate(zip(s2, eps)))
-                lab[(eps, j)] = tg.label_at(p, j)
+                lab[(eps, j)] = label_at(tg, p, j)
     return CubeLabeling(tg.l, lab), tg.g[tuple(x - 2 for x in s2)]
 
 

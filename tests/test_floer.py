@@ -11,7 +11,7 @@ import lfk.lspace
 from conftest import (build3_digests, build3_inputs, build_digests,
                       corner_table_per_point, cross_check_per_point, cube_at,
                       enumerate_valid_labelings, hat_per_point,
-                      knot_one_negated, labels, random_profile,
+                      knot_one_negated, label_at, labels, random_profile,
                       split_union_with_unknot, theorem_sum)
 from lfk.bridge import TwoBridge, signature
 from lfk.cli import all_candidates, family_links
@@ -49,11 +49,24 @@ def test_unknot_tgraph_and_table():
     prof = unknot_profile()
     tg = build_tgraph(prof)
     for p in range(-8, 7, 2):
-        assert tg.label_at((p,), 1) == (1 if p <= 0 else 0)
+        assert label_at(tg, (p,), 1) == (1 if p <= 0 else 0)
     table = hfl_minus(prof, tg)
     for s in range(tg.box[0][0], tg.box[0][1] + 1, 2):
         want = vs((s, 1)) if s <= 0 else GradedVS.zero()
         assert table.entry((s,)) == want
+
+
+def test_field_is_stored_in_box_points_order():
+    # One ascending layout at every number of components, and the unknot's
+    # g: 0 above the tail, and falling by 2 per step at and below 0.
+    for prof in (unknot_profile(), fixed_profile(20, -3), unlink_profile(3),
+                 split_union_with_unknot(fixed_profile(14, -5))):
+        tg = build_tgraph(prof)
+        assert list(tg.g) == list(box_points(zip(tg.store_lo, tg.store_hi)))
+        assert list(tg.g.values()) == list(tg.values)
+    tg = build_tgraph(unknot_profile())
+    assert tg.g == {(p,): min(p, 0)
+                    for p in range(tg.store_lo[0], tg.store_hi[0] + 1, 2)}
 
 
 def test_unknot_hat():
@@ -282,7 +295,7 @@ def test_margin_enlargement_is_consistent():
     small = build_tgraph(prof, margin=2)
     big = build_tgraph(prof, margin=4)
     for (p, j), v in labels(small).items():
-        assert big.label_at(p, j) == v
+        assert label_at(big, p, j) == v
     t_small = hfl_minus(prof, small)
     t_big = hfl_minus(prof, big)
     for s in box_points(small.box):
@@ -380,7 +393,7 @@ def test_theorem_sums_are_lattice_labels():
         for s in box_points(tg.box):
             for r in range(1, tg.l + 1):
                 p = tuple(x if k == r - 1 else x - 2 for k, x in enumerate(s))
-                assert theorem_sum(fam, s, r) == tg.label_at(p, r), (s, r)
+                assert theorem_sum(fam, s, r) == label_at(tg, p, r), (s, r)
 
 
 def test_family_members_build_up_to_40():
