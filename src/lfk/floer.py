@@ -179,9 +179,8 @@ def _field(fam, s_set, box, margin, order) -> list:
         sub_g = _field(fam, s_set | {i}, sub_box, margin, order)
         heads = tuple((lo, m - 2) for (lo, _), m in zip(rect, m2[:pos]))
         block = _window(sub_g, _stored(sub_box), heads + rect[pos + 1:])
-        first = max(m2[pos], rect[pos][0])
-        size, run = strides[pos], _length((first, rect[pos][1]))
-        starts = _flat(rect, heads + ((first, first),)
+        size, run = strides[pos], _length((m2[pos], rect[pos][1]))
+        starts = _flat(rect, heads + ((m2[pos], m2[pos]),)
                        + tuple((lo, lo) for lo, _ in rect[pos + 1:]))
         for t, k in enumerate(starts):
             g[k:k + size * run] = block[t * size:(t + 1) * size] * run
@@ -242,6 +241,7 @@ def _stored(box) -> tuple:
 
 
 def _length(r) -> int:
+    """The number of doubled lattice points in the range r."""
     return (r[1] - r[0]) // 2 + 1
 
 
