@@ -63,7 +63,6 @@ def test_field_is_stored_in_box_points_order():
                  split_union_with_unknot(fixed_profile(14, -5))):
         tg = build_tgraph(prof)
         assert list(tg.g) == list(box_points(zip(tg.store_lo, tg.store_hi)))
-        assert list(tg.g.values()) == list(tg.values)
     tg = build_tgraph(unknot_profile())
     assert tg.g == {(p,): min(p, 0)
                     for p in range(tg.store_lo[0], tg.store_hi[0] + 1, 2)}
