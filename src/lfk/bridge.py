@@ -113,18 +113,15 @@ def even_expansion(link: TwoBridge) -> EvenExpansion:
     return exp
 
 
-def equivalence_orbit(alpha: int, beta: int,
-                      reversal: bool = True) -> frozenset[int]:
+def equivalence_orbit(alpha: int, beta: int) -> frozenset[int]:
     """The residues mod 2*alpha of every beta' with b(alpha, beta')
-    equivalent to b(alpha, beta): beta and its inverse, and with reversal
-    (of one component's orientation) both shifted by alpha.  No further
+    equivalent to b(alpha, beta), a component's orientation reversal
+    allowed: beta and its inverse, both also shifted by alpha.  No further
     residue arises, since (b + alpha)^-1 = b^-1 + alpha mod 2*alpha for
     alpha even and b odd."""
     m = 2 * alpha
     orbit = {beta % m, pow(beta, -1, m)}
-    if reversal:
-        orbit |= {(b + alpha) % m for b in orbit}
-    return frozenset(orbit)
+    return frozenset(orbit | {(b + alpha) % m for b in orbit})
 
 
 @lru_cache(maxsize=None)

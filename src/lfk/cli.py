@@ -293,7 +293,7 @@ def _cmd_check(args) -> int:
             if not cor.ok:
                 cor_fail = cor_fail or cor
                 continue
-        thm = _theorem_check(fam, None, margin)
+        thm = _theorem_check(fam, margin)
         if thm.ok:
             print(json.dumps({"ok": True, "box": [list(b) for b in thm.box]}))
             return EXIT_OK

@@ -65,9 +65,6 @@ class GradedVS:
     def is_zero(self) -> bool:
         return not self.dims
 
-    def dim(self, grading: int) -> int:
-        return dict(self.dims).get(grading, 0)
-
     def total_dim(self) -> int:
         return sum(m for _, m in self.dims)
 

@@ -57,6 +57,6 @@ class NotLSpaceLink(LfkError):
 class HypothesisNotMet(LfkError):
     """The vanishing hypothesis for the hat-flavor identification fails."""
 
-    def __init__(self, offset, message=None):
+    def __init__(self, offset):
         self.offset = tuple(offset)
-        super().__init__(message or f"vanishing fails at offset {self.offset}")
+        super().__init__(f"vanishing fails at offset {self.offset}")

@@ -25,8 +25,9 @@ point the corner homology of its unit cube.  g is stored flat in
 of a sublink's values, the sweep and the table read a cube's vertices at
 fixed offsets, the table as row slices.  They answer from memos, keyed by a
 cube's upper gradings less the first (its rules commute with a shift) and
-by its vertex gradings.  The sweep orders list cube origins without a
-keyed sort.  The hat hypothesis is one map, ``HFLTable.blocked``, from
+by its vertex gradings.  The sweep has one order, descending by
+coordinate sum, listed without a keyed sort; it names the witness of every
+refused cube.  The hat hypothesis is one map, ``HFLTable.blocked``, from
 each point where it fails to its first nonzero up-offset: the hat groups
 read it, and the alternating cross-check visits only the points outside
 it where the group or the predicted coefficient is nonzero.
@@ -43,9 +44,8 @@ from .cubes import (GradedVS, _corner_at, complete_subgraph, euler_char,
                     vertices)
 from .errors import HypothesisNotMet, NotLSpaceLink, RegionUnstable
 from .laurent import MultiLaurent, TailPoly
-from .lspace import (LinkProfile, NormalizedFamily, _box, _checked_box,
-                     _corner, _hull, box_points, normalized_family,
-                     resolve_margin)
+from .lspace import (LinkProfile, NormalizedFamily, _box, _corner, _hull,
+                     box_points, normalized_family, resolve_margin)
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,13 @@ class TGraph:
     """Top gradings over a box of the Alexander lattice.
 
     values holds the even top grading of the sublevel tower at each
-    (doubled) point of the stored region zip(store_lo, store_hi), in
-    ``box_points`` order, normalized to 0 in the stable region; it is the
-    one stored field, and g is its view keyed by point.  The label of the
-    edge entering a point from below in a direction is half the difference
-    of g across that edge.  Labels repeat verbatim below the box (checked
-    during construction).  family is the normalized family g was built
-    from, under the sign assignment that built it.
+    (doubled) point of the stored region (the box and two steps below it),
+    in ``box_points`` order, normalized to 0 in the stable region; it is
+    the one stored field.  The label of the edge entering a point from
+    below in a direction is half the difference of g across that edge.
+    Labels repeat verbatim below the box (checked during construction).
+    family is the normalized family g was built from, under the sign
+    assignment that built it.
     """
 
     l: int
@@ -67,13 +67,6 @@ class TGraph:
     m2: tuple
     values: tuple
     family: NormalizedFamily
-    store_lo: tuple
-    store_hi: tuple
-
-    @cached_property
-    def g(self) -> dict:
-        return dict(zip(box_points(zip(self.store_lo, self.store_hi)),
-                        self.values))
 
     def to_json(self) -> dict:
         # Box points lie 2 steps above the stored bottom: no label clamps.
@@ -90,8 +83,7 @@ class TGraph:
         }
 
 
-def build_tgraph(prof: LinkProfile, box=None, margin=None,
-                 sweep_order: str = "sum") -> TGraph:
+def build_tgraph(prof: LinkProfile, box=None, margin=None) -> TGraph:
     """Construct the labeled lattice graph for a profile.
 
     Sign flags marked "auto" are resolved by trying the profile's sign
@@ -106,31 +98,35 @@ def build_tgraph(prof: LinkProfile, box=None, margin=None,
     explicit box needs one range per component; it is widened to the
     lattice and to the default box.
     """
-    if sweep_order not in _SWEEP_ORDERS:
-        raise ValueError(f"unknown sweep order {sweep_order!r}")
-    order = _SWEEP_ORDERS[sweep_order]
     margin = resolve_margin(margin)
     if box:
         box = _checked_box(prof.l, box)
     for candidate in prof.assignments():
         try:
-            return _build_resolved(candidate, box, margin, order)
+            return _build_resolved(candidate, box, margin)
         except NotLSpaceLink as err:
             failure = err
     raise failure
 
 
-# Orders of the interior sweep, from box points in product order; each visits
-# a cube after every cube that holds its other vertices as origins.  "lex" is
-# descending, "sum" descending by coordinate sum with ties in "lex" order (the
-# reversed sort is stable); both commute with a translation.
-_SWEEP_ORDERS = {
-    "sum": lambda pts: sorted(reversed(list(pts)), key=sum, reverse=True),
-    "lex": lambda pts: reversed(list(pts)),
-}
+def _checked_box(l: int, box) -> tuple:
+    """An explicit box as (lo2, hi2) pairs, one per component."""
+    box = tuple(tuple(b) for b in box)
+    if len(box) != l:
+        raise ValueError(f"box has {len(box)} ranges, expected {l}")
+    return box
 
 
-def _build_resolved(prof, box, margin, order) -> TGraph:
+def _sweep_order(pts):
+    """The order of the interior sweep, from box points in product order:
+    descending by coordinate sum, ties descending (the reversed sort is
+    stable).  It visits a cube after every cube that holds its other
+    vertices as origins, commutes with a translation, and names the
+    witness of every refused cube."""
+    return sorted(reversed(list(pts)), key=sum, reverse=True)
+
+
+def _build_resolved(prof, box, margin) -> TGraph:
     fam = normalized_family(prof)
     user_box = _box(fam, frozenset(), margin)
     if box:
@@ -138,12 +134,11 @@ def _build_resolved(prof, box, margin, order) -> TGraph:
         cosets = [prof.coset_parity(i) for i in range(1, prof.l + 1)]
         user_box = _hull(user_box, [(lo - (lo - c) % 2, hi + (hi - c) % 2)
                                     for (lo, hi), c in zip(box, cosets)])
-    g = _field(fam, frozenset(), user_box, margin, order)
-    return TGraph(prof.l, user_box, _corner(fam, frozenset()), tuple(g), fam,
-                  *zip(*_stored(user_box)))
+    g = _field(fam, frozenset(), user_box, margin)
+    return TGraph(prof.l, user_box, _corner(fam, frozenset()), tuple(g), fam)
 
 
-def _field(fam, s_set, box, margin, order) -> list:
+def _field(fam, s_set, box, margin) -> list:
     """g of the sublink L - S over the stored region of its box (the box and
     two steps below it), flat in ``box_points`` order, on the components
     outside S in the link's coordinates; fam[S] gives the Euler
@@ -155,7 +150,7 @@ def _field(fam, s_set, box, margin, order) -> list:
         # coefficient at p, and g is 0 at the top of the box.  The box
         # reaches below the tail's numerator, where the labels are constant.
         (lo, hi), = rect
-        coeffs = [p0.coeff(p) for p in range(lo, hi + 1, 2)]
+        coeffs = p0.coeffs(range(lo, hi + 1, 2))
         for p, a in zip(range(lo, hi + 1, 2), coeffs):
             if a not in (0, 1):
                 raise NotLSpaceLink(
@@ -176,7 +171,7 @@ def _field(fam, s_set, box, margin, order) -> list:
     for pos, i in enumerate(j for j in range(1, fam.l + 1) if j not in s_set):
         sub_box = _hull(_box(fam, s_set | {i}, margin),
                         rect[:pos] + rect[pos + 1:])
-        sub_g = _field(fam, s_set | {i}, sub_box, margin, order)
+        sub_g = _field(fam, s_set | {i}, sub_box, margin)
         heads = tuple((lo, m - 2) for (lo, _), m in zip(rect, m2[:pos]))
         block = _window(sub_g, _stored(sub_box), heads + rect[pos + 1:])
         size, run = strides[pos], _length((m2[pos], rect[pos][1]))
@@ -197,7 +192,7 @@ def _field(fam, s_set, box, margin, order) -> list:
     index = dict(zip(box_points(origins), _flat(rect, origins)))
     up = [sum(map(mul, d, strides)) // 2 for d in _cube_offsets(l)[1:]]
     coeff_at = p0.shifted((-2,) * l).terms.get
-    for origin in order(box_points(origins)):
+    for origin in _sweep_order(box_points(origins)):
         i = index[origin]
         upper = [g[i + o] for o in up]
         unique, branches = _cube_rule(l, tuple([x - upper[0] for x in upper]))

@@ -72,10 +72,6 @@ class MultiLaurent:
         return MultiLaurent(nvars, {})
 
     @staticmethod
-    def monomial(nvars: int, e2, c: int = 1) -> MultiLaurent:
-        return MultiLaurent(nvars, {tuple(e2): c})
-
-    @staticmethod
     def const(nvars: int, c: int) -> MultiLaurent:
         return MultiLaurent(nvars, {(0,) * nvars: c})
 
@@ -277,15 +273,9 @@ class TailPoly:
         if self.numer.nvars != 1:
             raise ValueError("TailPoly numerator must be one-variable")
 
-    def coeff(self, e2: int) -> int:
-        """Coefficient at the doubled exponent e2 (suffix sum of numer)."""
-        par = self.numer.parity(1)
-        if par is None or e2 & 1 != par:
-            return 0
-        return sum(c for (j2,), c in self.numer.terms.items() if j2 >= e2)
-
     def coeffs(self, vals) -> list[int]:
-        """coeff at each of the ascending values vals, in one suffix pass."""
+        """The coefficient at each of the ascending doubled exponents vals
+        (the suffix sum of numer there, 0 off its coset), in one pass."""
         par, terms = self.numer.parity(1), sorted(self.numer.terms.items())
         out, total = [], 0
         for x in reversed(vals):

@@ -7,13 +7,14 @@ polynomial per proper sublink-complement, monomially shifted by half linking
 numbers, with a geometric-series tail factor when a single component
 remains.
 
-The checkers evaluate, at every lattice point of a finite box, the signed
-sums of coefficients that must land in {0, 1} for an L-space link, plus the
-sharper alternating-sign conditions available for two components.  The
-sums are rows along the box's last axis, one per direction and index of the
-other axes, built by whole-row running sums over buckets of each entry's
-terms; the two-component conditions read the normalized polynomial's
-columns and rows as runs of one sort per direction, under both signs.
+The checkers evaluate, at every lattice point of the default box (whose
+edges lie on the lattice), the signed sums of coefficients that must land
+in {0, 1} for an L-space link, plus the sharper alternating-sign
+conditions available for two components.  The sums are rows along the
+box's last axis, one per direction and index of the other axes, built by
+whole-row running sums over buckets of each entry's terms; the
+two-component conditions read the normalized polynomial's columns and rows
+as runs of one sort per direction, under both signs.
 """
 
 from __future__ import annotations
@@ -397,14 +398,6 @@ def _hull(box1, box2):
     return tuple((min(a, c), max(b, d)) for (a, b), (c, d) in zip(box1, box2))
 
 
-def _checked_box(l: int, box) -> tuple:
-    """An explicit box as (lo2, hi2) pairs, one per component."""
-    box = tuple(tuple(b) for b in box)
-    if len(box) != l:
-        raise ValueError(f"box has {len(box)} ranges, expected {l}")
-    return box
-
-
 def box_points(box):
     """All doubled lattice points of a box, stepping by 2 per coordinate."""
     ranges = [range(lo, hi + 1, 2) for lo, hi in box]
@@ -426,9 +419,9 @@ class TheoremReport:
                                for p, r, v in self.violations]}
 
 
-def theorem_alex_check(prof: LinkProfile, box=None,
+def theorem_alex_check(prof: LinkProfile,
                        margin: int | None = None) -> TheoremReport:
-    """Evaluate the signed coefficient-sum condition over a box.
+    """Evaluate the signed coefficient-sum condition over the default box.
 
     Every lattice point and every direction must give a value of 0 or 1.
     Values on the box boundary are compared with their outward neighbors;
@@ -437,22 +430,18 @@ def theorem_alex_check(prof: LinkProfile, box=None,
     the box grown by one step, on one normalized family; a row within
     [0, 1], or a face equal to its outward one, is passed whole.
     """
-    return _theorem_check(normalized_family(prof), box, margin)
+    return _theorem_check(normalized_family(prof), margin)
 
 
-def _theorem_check(fam: NormalizedFamily, box, margin) -> TheoremReport:
+def _theorem_check(fam: NormalizedFamily, margin) -> TheoremReport:
     """theorem_alex_check on a built family."""
-    box = _box(fam, frozenset(), resolve_margin(margin)) if box is None \
-        else _checked_box(fam.l, box)
-    if any(lo > hi for lo, hi in box):
-        raise ValueError(f"box {box} has an axis with lo > hi")
+    box = _box(fam, frozenset(), resolve_margin(margin))
     l = fam.l
-    # The box, its outward neighbours, and an upper edge off the lo coset:
-    # lo - 2 and hi + 2 sit at the ends of each axis, lo and hi next to them.
-    grid = [sorted({lo - 2, *range(lo, hi + 1, 2), hi, hi + 2})
-            for lo, hi in box]
+    # The box and its outward neighbours: both edges of an axis lie on one
+    # coset, so lo - 2 and hi + 2 sit at its ends, lo and hi next to them.
+    grid = [list(range(lo - 2, hi + 3, 2)) for lo, hi in box]
     rows = _theorem_rows(fam, grid)
-    spans = [range(1, 1 + len(range(lo, hi + 1, 2))) for lo, hi in box]
+    spans = [range(1, len(vals) - 1) for vals in grid]
     cols = slice(spans[-1].start, spans[-1].stop)
     violations = []
     for head in itertools.product(*spans[:-1]):

@@ -3,14 +3,17 @@ import itertools
 import json
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 
+import lfk.floer
 from lfk.bridge import EvenExpansion, F_poly, TwoBridge
 from lfk.cubes import (CubeLabeling, _corner_from_grading_key, edges,
                        vertex_gradings, vertices)
 from lfk.errors import (HypothesisNotMet, InvalidLabeling, LfkError,
                         RegionUnstable)
-from lfk.floer import CrossReport, build_tgraph, hfl_minus
+from lfk.floer import (CrossReport, _stored, _sweep_order, build_tgraph,
+                       hfl_minus)
 from lfk.laurent import MultiLaurent, TailPoly, exact_div
 from lfk.lspace import (CorReport, LinkProfile, TheoremReport, _theorem_rows,
                         box_points, cor_alex2_check, default_box,
@@ -103,6 +106,36 @@ def random_profile(rng, l):
     return LinkProfile(l, lk, delta)
 
 
+def unstable_profile():
+    """A two-component profile, lk = 2 with unknotted components and
+    Delta_12 = -u1^(3/2) u2^(7/2), every flag pinned, whose default box at
+    margin 2 is too narrow: the theorem check and the field builder both
+    raise RegionUnstable there, and both pass at margin 4."""
+    one = MultiLaurent.const(1, 1)
+    return LinkProfile(2, ((0, 2), (2, 0)),
+                       {frozenset({1}): one, frozenset({2}): one,
+                        frozenset({1, 2}): MultiLaurent(2, {(3, 7): -1})},
+                       {frozenset({1}): "+", frozenset({2}): "+",
+                        frozenset({1, 2}): "+"})
+
+
+def oriented_orbit(alpha, beta) -> frozenset:
+    """The residues mod 2*alpha of every beta' with b(alpha, beta')
+    equivalent to b(alpha, beta) with orientations kept: beta and its
+    inverse."""
+    m = 2 * alpha
+    return frozenset({beta % m, pow(beta, -1, m)})
+
+
+def tail_coeff(tail: TailPoly, e2: int) -> int:
+    """The coefficient of a tail at the doubled exponent e2: the sum of its
+    numerator's coefficients from e2 upward, 0 off the numerator's coset."""
+    par = tail.numer.parity(1)
+    if par is None or e2 & 1 != par:
+        return 0
+    return sum(c for (j2,), c in tail.numer.terms.items() if j2 >= e2)
+
+
 def knot_one_negated(prof):
     """The profile with Delta of component 1 negated and every flag auto."""
     delta = dict(prof.delta)
@@ -164,10 +197,50 @@ def enumerate_valid_labelings(n: int) -> list[CubeLabeling]:
     return out
 
 
-def _g_step(g, p2, j: int) -> int:
+# -- sweep orders and the field of a graph, keyed by point --------------------
+
+
+def lex_order(pts):
+    """The second order of the interior sweep: the box points in descending
+    lexicographic order.  It visits a cube after every cube that holds its
+    other vertices as origins, as the library's order does."""
+    return reversed(list(pts))
+
+
+@contextmanager
+def sweep_order(order):
+    """Build lattice graphs with the interior sweep in the given order."""
+    saved, lfk.floer._sweep_order = lfk.floer._sweep_order, order
+    try:
+        yield
+    finally:
+        lfk.floer._sweep_order = saved
+
+
+SWEEP_ORDERS = {"sum": _sweep_order, "lex": lex_order}
+
+
+def g_of(tg) -> dict:
+    """The field of a graph keyed by point, over its stored region (the box
+    and two steps below it)."""
+    return dict(zip(box_points(_stored(tg.box)), tg.values))
+
+
+def g_at(tg, p2) -> int:
+    """g at one point of the stored region, found by its rank in
+    ``box_points`` order; a point outside the region raises KeyError."""
+    k = 0
+    for x, (lo, hi) in zip(p2, _stored(tg.box)):
+        if not lo <= x <= hi or (x - lo) % 2:
+            raise KeyError(p2)
+        k = k * ((hi - lo) // 2 + 1) + (x - lo) // 2
+    return tg.values[k]
+
+
+def _g_step(tg, p2, j: int) -> int:
     """Half the g difference across the edge entering p2 in direction j."""
     down = p2[:j - 1] + (p2[j - 1] - 2,) + p2[j:]
-    return (g[p2] - g[down]) // 2
+    return (g_at(tg, p2) - g_at(tg, down)) // 2
 
 
 def label_at(tg, p2, j: int) -> int:
@@ -175,18 +248,19 @@ def label_at(tg, p2, j: int) -> int:
     point: g differences inside the stored region and row-repeating clamps
     outside it; beyond the corner the clamp stays on the slab p_j >= m_j
     (box tops are at least m + 4), where g is constant along j."""
-    q = [min(max(x, lo), hi)
-         for x, lo, hi in zip(p2, tg.store_lo, tg.store_hi)]
-    q[j - 1] = max(q[j - 1], tg.store_lo[j - 1] + 2)
-    return _g_step(tg.g, tuple(q), j)
+    rect = _stored(tg.box)
+    q = [min(max(x, lo), hi) for x, (lo, hi) in zip(p2, rect)]
+    q[j - 1] = max(q[j - 1], rect[j - 1][0] + 2)
+    return _g_step(tg, tuple(q), j)
 
 
 def labels(tg) -> dict:
     """Edge labels of a graph's stored region as g differences, keyed
     (p2, j)."""
-    return {(p, j): _g_step(tg.g, p, j)
-            for p in sorted(tg.g) for j in range(1, tg.l + 1)
-            if p[j - 1] > tg.store_lo[j - 1]}
+    rect = _stored(tg.box)
+    return {(p, j): _g_step(tg, p, j)
+            for p in box_points(rect) for j in range(1, tg.l + 1)
+            if p[j - 1] > rect[j - 1][0]}
 
 
 def cube_at(tg, s2):
@@ -199,7 +273,7 @@ def cube_at(tg, s2):
                 p = tuple(x - 2 + 2 * e + 2 * (k == j - 1)
                           for k, (x, e) in enumerate(zip(s2, eps)))
                 lab[(eps, j)] = label_at(tg, p, j)
-    return CubeLabeling(tg.l, lab), tg.g[tuple(x - 2 for x in s2)]
+    return CubeLabeling(tg.l, lab), g_at(tg, tuple(x - 2 for x in s2))
 
 
 # -- per-point screens: second routes to the theorem and corollary checks ----
@@ -219,7 +293,7 @@ def r_sum(fam, s_set, point2, r: int) -> int:
     entry = fam.entries[s_set]
     comp = sorted(set(range(1, fam.l + 1)) - s_set)
     if isinstance(entry, TailPoly):
-        return entry.coeff(point2[r - 1])
+        return tail_coeff(entry, point2[r - 1])
     rpos = comp.index(r)
     total = 0
     for e2, c in entry.terms.items():
@@ -254,11 +328,11 @@ def theorem_field(fam, grid) -> dict:
             for x, v in zip(grid[-1], row)}
 
 
-def theorem_check_per_point(prof, box=None, margin=2):
+def theorem_check_per_point(prof, margin=2):
     """theorem_alex_check with every value read by theorem_sum, one point
     and one direction at a time."""
     fam = normalized_family(prof)
-    box = default_box(prof, margin) if box is None else tuple(map(tuple, box))
+    box = default_box(prof, margin)
     l = prof.l
     violations = [(p, r, v) for p in box_points(box) for r in range(1, l + 1)
                   for v in [theorem_sum(fam, p, r)] if v not in (0, 1)]
@@ -301,9 +375,9 @@ def _cor_failures_per_column(fam, p0):
         if not tail.numer.is_zero():
             for er in range(tail.numer.min_exp2(1) - 2,
                             tail.numer.max_exp2(1) + 3, 2):
-                if tail.coeff(er) not in (0, 1):
-                    failures.append(("tail", r, er,
-                                     f"tail coefficient {tail.coeff(er)}"))
+                t = tail_coeff(tail, er)
+                if t not in (0, 1):
+                    failures.append(("tail", r, er, f"tail coefficient {t}"))
         for er in sorted({e2[r - 1] for e2 in p0.terms}):
             col = restrict(p0, r, er)
             if col.is_zero():
@@ -314,7 +388,7 @@ def _cor_failures_per_column(fam, p0):
                     failures.append(("alternation", r, er,
                                      "equal consecutive signs"))
                     break
-            t = tail.coeff(er)
+            t = tail_coeff(tail, er)
             if t not in (0, 1):
                 continue
             want = 1 if t == 1 else -1
@@ -353,7 +427,8 @@ def build_digests(alpha, beta, sign):
     row = [str(alpha), str(beta), str(sign)]
     for order in ("sum", "lex"):
         try:
-            out = build_tgraph(prof, margin=2, sweep_order=order).to_json()
+            with sweep_order(SWEEP_ORDERS[order]):
+                out = build_tgraph(prof, margin=2).to_json()
         except LfkError as err:
             out = [type(err).__name__, str(err)]
         row.append(_digest(out))
@@ -392,7 +467,8 @@ def build3_digests(name, prof):
     for margin in (2, 4):
         for order in ("sum", "lex"):
             try:
-                tg = build_tgraph(prof, margin=margin, sweep_order=order)
+                with sweep_order(SWEEP_ORDERS[order]):
+                    tg = build_tgraph(prof, margin=margin)
                 out = [tg.to_json(), hfl_minus(prof, tg).to_json()]
             except LfkError as err:
                 out = [type(err).__name__, str(err)]
@@ -407,7 +483,7 @@ def cube_gradings(tg, s2):
     """The origin grading of the unit cube at s2 (whose vertices must be
     stored) and the gradings of its 2^l vertices relative to it, in
     ``vertices`` order."""
-    gs = [tg.g[tuple(x - 2 + 2 * e for x, e in zip(s2, eps))]
+    gs = [g_at(tg, tuple(x - 2 + 2 * e for x, e in zip(s2, eps)))
           for eps in vertices(tg.l)]
     return gs[0], tuple(x - gs[0] for x in gs)
 
@@ -512,13 +588,12 @@ def diagonal_identities_check(exp: EvenExpansion) -> DiagonalReport:
     fprod = MultiLaurent.const(2, 1)
     for pi in exp.p:
         fprod = fprod * F_poly(pi)
-    minus_u1_pow = MultiLaurent.monomial(2, ((n - 1) * 2, 0),
-                                         (-1) ** (n - 1))
+    minus_u1_pow = MultiLaurent(2, {((n - 1) * 2, 0): (-1) ** (n - 1)})
     top = fprod * qprod * minus_u1_pow
     if diagonal(delta_n, 2 * (n - 1)) != top:
         return DiagonalReport(False, 2 * (n - 1), "top diagonal mismatch")
     if n >= 2:
-        upow = MultiLaurent.monomial(2, ((n - 2) * 2, 0), (-1) ** (n - 2))
+        upow = MultiLaurent(2, {((n - 2) * 2, 0): (-1) ** (n - 2)})
         u1u2p1 = MultiLaurent(2, {(2, 2): 1, (0, 0): 1})
         p1 = u1u2p1 * fprod * qprod * (n - 1) * upow
         p2 = MultiLaurent.zero(2)

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from conftest import (cube_at, diagonal, enumerate_valid_labelings, facet,
-                      labels, rand_nonzero, rand_poly)
+                      g_of, labels, lex_order, rand_nonzero, rand_poly,
+                      sweep_order)
 from lfk.bridge import (TwoBridge, _tridiag_signature, alexander_of,
                         signature, signature_of_matrix, tridiagonal_matrix)
 from lfk.cli import (classification_summary, classify, family_links,
@@ -236,13 +237,15 @@ def test_criterion_9_property_suites():
             continue
         profiles.append(prof.with_signs({prof.full(): rep.sign}))
     for prof in profiles:
-        a = build_tgraph(prof, sweep_order="sum")
-        b = build_tgraph(prof, sweep_order="lex")
-        assert labels(a) == labels(b) and a.g == b.g
+        a = build_tgraph(prof)
+        with sweep_order(lex_order):
+            b = build_tgraph(prof)
+        g = g_of(a)
+        assert labels(a) == labels(b) and g == g_of(b)
         for (p, j), v in labels(a).items():
             down = tuple(x - (2 if k == j - 1 else 0) for k, x in enumerate(p))
-            if p in a.g and down in a.g:
-                assert a.g[p] - a.g[down] == 2 * v
+            if p in g and down in g:
+                assert g[p] - g[down] == 2 * v
         table = hfl_minus(prof, a)
         for s, v in table.table.items():
             assert table.table[(s[1], s[0])] == v

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import (delta_recursion, delta_sequence, diagonal,
-                      diagonal_identities_check, involution)
+                      diagonal_identities_check, involution, oriented_orbit)
 from lfk.bridge import (EvenExpansion, TwoBridge, _schubert_signs, alexander,
                         alexander_of, equivalence_orbit, even_expansion,
                         F_poly, fraction_of, linking_number, signature,
@@ -54,7 +54,7 @@ def test_two_bridge_validation():
 
 
 def test_equivalence_examples():
-    oriented = equivalence_orbit(20, -3, reversal=False)
+    oriented = oriented_orbit(20, -3)
     assert -3 % 40 in oriented
     # (-3)^-1 is 13 mod 40, and -7 is 33: not oriented-equivalent
     assert pow(-3, -1, 40) == 13
@@ -62,16 +62,16 @@ def test_equivalence_examples():
     assert 13 in oriented
     assert -7 % 40 in equivalence_orbit(20, -3)
     assert -1 % 8 in equivalence_orbit(4, 3)
-    assert -1 % 8 not in equivalence_orbit(4, 3, reversal=False)
+    assert -1 % 8 not in oriented_orbit(4, 3)
 
 
 def test_equivalence_is_an_equivalence_relation():
     # With or without reversal, on every b(alpha, beta), alpha <= 100.
-    for flag in (False, True):
+    for orbit_of in (oriented_orbit, equivalence_orbit):
         for alpha in range(2, 101, 2):
             betas = [b for b in range(-alpha + 1, alpha, 2)
                      if math.gcd(alpha, b) == 1]
-            orbit = {b: equivalence_orbit(alpha, b, flag) for b in betas}
+            orbit = {b: orbit_of(alpha, b) for b in betas}
             classes = {}
             for x in betas:
                 assert x % (2 * alpha) in orbit[x]
@@ -106,8 +106,9 @@ def _bfs_orbit(alpha, beta, reversal):
 def test_equivalence_orbit_matches_search():
     count = 0
     for link in all_links(300):
-        for reversal in (False, True):
-            assert equivalence_orbit(link.alpha, link.beta, reversal) == \
+        for orbit_of, reversal in ((oriented_orbit, False),
+                                   (equivalence_orbit, True)):
+            assert orbit_of(link.alpha, link.beta) == \
                 _bfs_orbit(link.alpha, link.beta, reversal), (link, reversal)
         count += 1
     assert count == 18330
@@ -374,7 +375,7 @@ def test_signature_is_an_invariant_of_every_link():
         assert type(sigma) is int and sigma % 2 == 1, link
         assert abs(sigma) < alpha, link
         assert signature(TwoBridge(alpha, -link.beta)) == -sigma, link
-        for r in equivalence_orbit(alpha, link.beta, reversal=False):
+        for r in oriented_orbit(alpha, link.beta):
             beta = r if r < alpha else r - 2 * alpha
             assert signature(TwoBridge(alpha, beta)) == sigma, (link, beta)
 

@@ -12,7 +12,7 @@ import lfk
 import lfk.cli
 import lfk.floer
 import lfk.lspace
-from conftest import knot_one_negated
+from conftest import knot_one_negated, unstable_profile
 from lfk.bridge import TwoBridge
 from lfk.cli import (SweepRecord, _pipeline, all_candidates, class_id_of,
                      classify, classification_summary, equivalence_orbit,
@@ -245,6 +245,25 @@ def test_pinned_wrong_sign_is_refused(tmp_path, capsys):
     assert reasons["tgraph"] == reasons["hfl"] == (
         "NotLSpaceLink: neither dichotomy branch at (4, 4) matches "
         "coefficient 1")
+
+
+def test_unstable_profile_needs_a_wider_margin(tmp_path, capsys,
+                                               monkeypatch):
+    # The default box is too narrow for this profile: every command refuses
+    # it as unstable, and all pass with LFK_MARGIN=4.
+    path = tmp_path / "prof.json"
+    path.write_text(json.dumps(unstable_profile().to_json()))
+    field = ("RegionUnstable: labels below the box at (-4, 2) differ from "
+             "the bottom row; enlarge the margin (LFK_MARGIN)")
+    for cmd, reason in (("check", "RegionUnstable: value changes stepping "
+                         "outward at (0, 4) (direction 2); enlarge the "
+                         "margin"), ("tgraph", field), ("hfl", field)):
+        assert main([cmd, "--profile", str(path)]) == 2, cmd
+        assert json.loads(capsys.readouterr().out) == {"reason": reason}
+    monkeypatch.setenv("LFK_MARGIN", "4")
+    for cmd in ("check", "tgraph", "hfl"):
+        assert main([cmd, "--profile", str(path)]) == 0, cmd
+        capsys.readouterr()
 
 
 def test_check_and_tgraph_agree_on_candidates(capsys):

@@ -281,5 +281,6 @@ def test_graded_vs_arithmetic():
     a = vs((2, 1), (0, 3))
     assert a.euler() == 4
     assert a.shifted(2) == vs((4, 1), (2, 3))
-    assert (a.dim(2), a.dim(0), a.dim(1)) == (1, 3, 0)
+    dims = dict(a.dims)
+    assert (dims[2], dims[0], dims.get(1, 0)) == (1, 3, 0)
     assert GradedVS.zero().is_zero()

@@ -8,21 +8,23 @@ import pytest
 
 import lfk.floer
 import lfk.lspace
-from conftest import (build3_digests, build3_inputs, build_digests,
-                      corner_table_per_point, cross_check_per_point, cube_at,
-                      enumerate_valid_labelings, hat_per_point,
-                      knot_one_negated, label_at, labels, random_profile,
-                      split_union_with_unknot, theorem_sum)
+from conftest import (SWEEP_ORDERS, build3_digests, build3_inputs,
+                      build_digests, corner_table_per_point,
+                      cross_check_per_point, cube_at,
+                      enumerate_valid_labelings, g_of, hat_per_point,
+                      knot_one_negated, label_at, labels, lex_order,
+                      random_profile, split_union_with_unknot, sweep_order,
+                      tail_coeff, theorem_sum, unstable_profile)
 from lfk.bridge import TwoBridge, signature
 from lfk.cli import all_candidates, family_links
 from lfk.cubes import (GradedVS, _corner_at, _corner_from_grading_key,
                        complete_subgraph, corner_homology, euler_char,
                        vertex_gradings)
 from lfk.errors import HypothesisNotMet, NotLSpaceLink, RegionUnstable
-from lfk.floer import (_SWEEP_ORDERS, HFLTable, _cube_rule,
+from lfk.floer import (HFLTable, _cube_rule, _stored,
                        alternating_cross_check, build_tgraph, hfl_hat,
                        hfl_minus)
-from lfk.laurent import MultiLaurent
+from lfk.laurent import MultiLaurent, TailPoly
 from lfk.lspace import (LinkProfile, box_points, cor_alex2_check, default_box,
                         m_vector, normalized_family, theorem_alex_check,
                         two_bridge_profile, unknot_profile, unlink_profile)
@@ -62,10 +64,11 @@ def test_field_is_stored_in_box_points_order():
     for prof in (unknot_profile(), fixed_profile(20, -3), unlink_profile(3),
                  split_union_with_unknot(fixed_profile(14, -5))):
         tg = build_tgraph(prof)
-        assert list(tg.g) == list(box_points(zip(tg.store_lo, tg.store_hi)))
+        assert list(g_of(tg)) == list(box_points(_stored(tg.box)))
+        assert len(tg.values) == len(g_of(tg))
     tg = build_tgraph(unknot_profile())
-    assert tg.g == {(p,): min(p, 0)
-                    for p in range(tg.store_lo[0], tg.store_hi[0] + 1, 2)}
+    (lo, hi), = _stored(tg.box)
+    assert g_of(tg) == {(p,): min(p, 0) for p in range(lo, hi + 1, 2)}
 
 
 def test_unknot_hat():
@@ -227,15 +230,75 @@ def test_off_coset_box_edges_widen_outward():
         tg = build_tgraph(prof, box=box)
         want = build_tgraph(prof, box=on_lattice)
         assert tg.box == on_lattice
-        assert tg.to_json() == want.to_json() and tg.g == want.g
+        assert tg.to_json() == want.to_json() and g_of(tg) == g_of(want)
 
 
 def test_wrong_arity_box_is_refused():
     prof = fixed_profile(20, -3)
     for box in (((-8, 8),), ((-8, 8),) * 3):
-        for fn in (build_tgraph, theorem_alex_check):
-            with pytest.raises(ValueError, match="expected 2"):
-                fn(prof, box=box)
+        with pytest.raises(ValueError, match="expected 2"):
+            build_tgraph(prof, box=box)
+
+
+def test_narrow_box_field_is_refused_as_unstable():
+    # At margin 2 the labels one step below the box differ from its bottom
+    # row; at margin 4 the field builds on the box the theorem check reads.
+    prof = unstable_profile()
+    with pytest.raises(RegionUnstable) as exc:
+        build_tgraph(prof, margin=2)
+    assert str(exc.value) == (
+        "labels below the box at (-4, 2) differ from the bottom row; "
+        "enlarge the margin (LFK_MARGIN)")
+    box = ((-4, 12), (0, 16))
+    assert build_tgraph(prof, margin=4).box == box
+    assert theorem_alex_check(prof, margin=4).box == box
+
+
+def _knot(terms):
+    return LinkProfile(1, ((0,),), {frozenset({1}): MultiLaurent(1, terms)},
+                       {frozenset({1}): "+"})
+
+
+def _count_tail_reads(monkeypatch):
+    calls = []
+    coeffs = TailPoly.coeffs
+
+    def counting(tail, vals):
+        calls.append(vals)
+        return coeffs(tail, vals)
+
+    monkeypatch.setattr(TailPoly, "coeffs", counting)
+    return calls
+
+
+def test_knot_field_matches_per_point_tail(monkeypatch):
+    # The unknot and the torus knots T(2,3), T(2,5) and T(3,4): every label
+    # of the stored region is the tail coefficient at its point, and the
+    # tail is read in one pass over the region.
+    calls = _count_tail_reads(monkeypatch)
+    for terms in ({(0,): 1}, {(2,): 1, (0,): -1, (-2,): 1},
+                  {(4,): 1, (2,): -1, (0,): 1, (-2,): -1, (-4,): 1},
+                  {(6,): 1, (4,): -1, (0,): 1, (-4,): -1, (-6,): 1}):
+        prof = _knot(terms)
+        calls.clear()
+        tg = build_tgraph(prof)
+        assert len(calls) == 1, terms
+        tail = normalized_family(prof).p_empty
+        (lo, hi), = _stored(tg.box)
+        for p in range(lo + 2, hi + 1, 2):
+            assert label_at(tg, (p,), 1) == tail_coeff(tail, p), (terms, p)
+
+
+def test_knot_refusal_names_the_lowest_bad_exponent(monkeypatch):
+    # 2u - 3 + 2/u has tail coefficients 2 at 2/2 and -1 at 0/2, both
+    # outside {0, 1}; the refusal names the lower, after one tail pass.
+    calls = _count_tail_reads(monkeypatch)
+    with pytest.raises(NotLSpaceLink) as exc:
+        build_tgraph(_knot({(2,): 2, (0,): -3, (-2,): 2}))
+    assert str(exc.value) == (
+        "normalized coefficient -1 at exponent 0/2; "
+        "not an L-space knot profile (or wrong sign)")
+    assert len(calls) == 1
 
 
 def test_sublink_refusal_names_link_coordinates():
@@ -255,30 +318,20 @@ def test_sublink_refusal_names_link_coordinates():
 def test_g_field_is_path_independent():
     for alpha, beta in ((20, -3), (8, -3), (2, 1)):
         tg = build_tgraph(fixed_profile(alpha, beta))
+        g = g_of(tg)
         for (p, j), v in labels(tg).items():
             down = tuple(x - (2 if k == j - 1 else 0) for k, x in enumerate(p))
-            if p in tg.g and down in tg.g:
-                assert tg.g[p] - tg.g[down] == 2 * v
+            if p in g and down in g:
+                assert g[p] - g[down] == 2 * v
 
 
 def test_sweep_order_determinism():
     for alpha, beta in ((20, -3), (14, -5), (8, -3)):
         prof = fixed_profile(alpha, beta)
-        a = build_tgraph(prof, sweep_order="sum")
-        b = build_tgraph(prof, sweep_order="lex")
-        assert labels(a) == labels(b) and a.g == b.g
-
-
-def test_unknown_sweep_order_is_refused(monkeypatch):
-    # Refused before anything is built, knots included: their fields never
-    # reach the interior sweep.
-    def no_build(*args):
-        raise AssertionError("built before the sweep order was checked")
-
-    monkeypatch.setattr(lfk.floer, "_build_resolved", no_build)
-    for prof in (unknot_profile(), fixed_profile(20, -3)):
-        with pytest.raises(ValueError, match="unknown sweep order 'bogus'"):
-            build_tgraph(prof, sweep_order="bogus")
+        a = build_tgraph(prof)
+        with sweep_order(lex_order):
+            b = build_tgraph(prof)
+        assert labels(a) == labels(b) and g_of(a) == g_of(b)
 
 
 def test_component_swap_symmetry():
@@ -550,7 +603,7 @@ def test_sweep_orders_match_their_keys():
     assert {len(b) for b in boxes} == {1, 2, 3}
     for box in boxes:
         for name, key in old_key.items():
-            assert list(_SWEEP_ORDERS[name](box_points(box))) == \
+            assert list(SWEEP_ORDERS[name](box_points(box))) == \
                 sorted(box_points(box), key=key), (name, box)
 
 

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import (cor_check_per_column, r_sum, random_profile,
                       screen_digests, split_union_with_unknot, sub_profile,
-                      theorem_check_per_point, theorem_field, theorem_sum)
+                      tail_coeff, theorem_check_per_point, theorem_field,
+                      theorem_sum, unstable_profile)
 from lfk.bridge import TwoBridge
 from lfk.cli import family_links
 from lfk.errors import CosetViolation, RegionUnstable
@@ -36,21 +37,22 @@ def test_normalized_family_b20():
         tail = fam[s]
         assert isinstance(tail, TailPoly)
         assert tail.var == var
-        assert tail.numer == MultiLaurent.monomial(1, (2,))
+        assert tail.numer == MultiLaurent(1, {(2,): 1})
 
 
 def test_normalized_family_unlink():
     fam = normalized_family(unlink_profile(2))
     assert fam.p_empty.is_zero()
     for s in (frozenset({1}), frozenset({2})):
-        assert fam[s].numer == MultiLaurent.monomial(1, (0,))
+        assert fam[s].numer == MultiLaurent(1, {(0,): 1})
 
 
 def test_normalized_family_unknot():
     fam = normalized_family(unknot_profile())
     tail = fam.p_empty
     assert isinstance(tail, TailPoly)
-    assert tail.coeff(0) == 1 and tail.coeff(-10) == 1 and tail.coeff(2) == 0
+    assert (tail_coeff(tail, 0), tail_coeff(tail, -10),
+            tail_coeff(tail, 2)) == (1, 1, 0)
 
 
 def test_coset_violation_detected():
@@ -111,28 +113,9 @@ def test_theorem_check_unlink_and_unknot():
 
 
 def test_theorem_check_narrow_box_is_unstable():
-    prof = b20_profile()
+    prof = unstable_profile()
     with pytest.raises(RegionUnstable):
-        theorem_alex_check(prof, box=((0, 2), (0, 2)))
-
-
-def test_theorem_check_box_edge_off_the_lattice():
-    # An explicit box edge off the lattice coset is compared outward: the
-    # face at 3 differs from its neighbour at 5, the face at 9 does not.
-    prof = b20_profile()
-    assert theorem_alex_check(prof, box=((-8, 9), (-8, 8))).ok
-    with pytest.raises(RegionUnstable, match=r"at \(3, 2\)"):
-        theorem_alex_check(prof, box=((-8, 3), (-8, 8)))
-
-
-def test_theorem_check_refuses_inverted_box():
-    # An axis with lo > hi has no points; the check refuses it instead of
-    # checking nothing and then comparing faces outward.
-    prof = b20_profile()
-    for box in (((4, 0), (0, 2)), ((0, 2), (2, 0))):
-        with pytest.raises(ValueError, match="lo > hi"):
-            theorem_alex_check(prof, box=box)
-    assert theorem_alex_check(prof, box=((-8, 8), (8, 8))).ok
+        theorem_alex_check(prof, margin=2)
 
 
 def _two_bridge_pairs(max_alpha):
@@ -204,9 +187,7 @@ def _signed_pair(alpha, beta):
 def test_theorem_check_matches_per_point_route():
     cases = [(unknot_profile(), {}), (unlink_profile(2), {}),
              (unlink_profile(3), {})]
-    cases += [(b20_profile(), {"box": box}) for box in
-              (((0, 2), (0, 2)), ((-8, 9), (-8, 8)), ((-8, 3), (-8, 8)),
-               ((-8, 8), (8, 8)))]
+    cases += [(unstable_profile(), {"margin": m}) for m in (2, 4)]
     for alpha, beta in _two_bridge_pairs(30):
         prof = two_bridge_profile(TwoBridge(alpha, beta))
         cases += [(prof.with_signs({prof.full(): s}), {}) for s in (1, -1)]
