@@ -25,12 +25,11 @@ point the corner homology of its unit cube.  g is stored flat in
 of a sublink's values, the sweep and the table read a cube's vertices at
 fixed offsets, the table as row slices.  They answer from memos, keyed by a
 cube's upper gradings less the first (its rules commute with a shift) and
-by its vertex gradings.  The sweep has one order, descending by
-coordinate sum, listed without a keyed sort; it names the witness of every
-refused cube.  The hat hypothesis is one map, ``HFLTable.blocked``, from
-each point where it fails to its first nonzero up-offset: the hat groups
-read it, and the alternating cross-check visits only the points outside
-it where the group or the predicted coefficient is nonzero.
+by its vertex gradings.  The sweep's one order, by coordinate sum, names
+every refused cube.  The hat hypothesis is one map, ``HFLTable.blocked``,
+from each point where it fails to its first nonzero up-offset: the hat
+groups read it, and the alternating cross-check visits only the points
+outside it where the group or the predicted coefficient is nonzero.
 """
 
 from __future__ import annotations
@@ -100,7 +99,9 @@ def build_tgraph(prof: LinkProfile, box=None, margin=None) -> TGraph:
     """
     margin = resolve_margin(margin)
     if box:
-        box = _checked_box(prof.l, box)
+        box = tuple(map(tuple, box))
+        if len(box) != prof.l:
+            raise ValueError(f"box has {len(box)} ranges, expected {prof.l}")
     for candidate in prof.assignments():
         try:
             return _build_resolved(candidate, box, margin)
@@ -109,20 +110,10 @@ def build_tgraph(prof: LinkProfile, box=None, margin=None) -> TGraph:
     raise failure
 
 
-def _checked_box(l: int, box) -> tuple:
-    """An explicit box as (lo2, hi2) pairs, one per component."""
-    box = tuple(tuple(b) for b in box)
-    if len(box) != l:
-        raise ValueError(f"box has {len(box)} ranges, expected {l}")
-    return box
-
-
 def _sweep_order(pts):
-    """The order of the interior sweep, from box points in product order:
-    descending by coordinate sum, ties descending (the reversed sort is
-    stable).  It visits a cube after every cube that holds its other
-    vertices as origins, commutes with a translation, and names the
-    witness of every refused cube."""
+    """The interior sweep's order of the box points given in product order:
+    by descending coordinate sum, ties descending (the sort is stable).  It
+    visits a cube after every cube holding its other vertices as origins."""
     return sorted(reversed(list(pts)), key=sum, reverse=True)
 
 

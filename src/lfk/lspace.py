@@ -7,14 +7,13 @@ polynomial per proper sublink-complement, monomially shifted by half linking
 numbers, with a geometric-series tail factor when a single component
 remains.
 
-The checkers evaluate, at every lattice point of the default box (whose
-edges lie on the lattice), the signed sums of coefficients that must land
-in {0, 1} for an L-space link, plus the sharper alternating-sign
-conditions available for two components.  The sums are rows along the
-box's last axis, one per direction and index of the other axes, built by
-whole-row running sums over buckets of each entry's terms; the
-two-component conditions read the normalized polynomial's columns and rows
-as runs of one sort per direction, under both signs.
+The checkers evaluate, at every lattice point of the default box, the signed
+sums of coefficients that must land in {0, 1} for an L-space link, plus the
+sharper alternating-sign conditions available for two components.  The
+sums are rows along the box's last axis, one per direction and index of the
+other axes, built by whole-row running sums over buckets of each entry's
+terms; the two-component conditions read the normalized polynomial's
+columns and rows as runs of one sort per direction, under both signs.
 """
 
 from __future__ import annotations

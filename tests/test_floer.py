@@ -254,12 +254,10 @@ def test_narrow_box_field_is_refused_as_unstable():
     assert theorem_alex_check(prof, margin=4).box == box
 
 
-def _knot(terms):
-    return LinkProfile(1, ((0,),), {frozenset({1}): MultiLaurent(1, terms)},
-                       {frozenset({1}): "+"})
-
-
-def _count_tail_reads(monkeypatch):
+def test_knot_field_matches_per_point_tail(monkeypatch):
+    # The unknot and the torus knots T(2,3), T(2,5) and T(3,4): every label
+    # of the stored region is the tail coefficient at its point, and the
+    # tail is read in one pass over the region.
     calls = []
     coeffs = TailPoly.coeffs
 
@@ -268,18 +266,12 @@ def _count_tail_reads(monkeypatch):
         return coeffs(tail, vals)
 
     monkeypatch.setattr(TailPoly, "coeffs", counting)
-    return calls
-
-
-def test_knot_field_matches_per_point_tail(monkeypatch):
-    # The unknot and the torus knots T(2,3), T(2,5) and T(3,4): every label
-    # of the stored region is the tail coefficient at its point, and the
-    # tail is read in one pass over the region.
-    calls = _count_tail_reads(monkeypatch)
     for terms in ({(0,): 1}, {(2,): 1, (0,): -1, (-2,): 1},
                   {(4,): 1, (2,): -1, (0,): 1, (-2,): -1, (-4,): 1},
                   {(6,): 1, (4,): -1, (0,): 1, (-4,): -1, (-6,): 1}):
-        prof = _knot(terms)
+        knot = frozenset({1})
+        prof = LinkProfile(1, ((0,),), {knot: MultiLaurent(1, terms)},
+                           {knot: "+"})
         calls.clear()
         tg = build_tgraph(prof)
         assert len(calls) == 1, terms
@@ -287,18 +279,6 @@ def test_knot_field_matches_per_point_tail(monkeypatch):
         (lo, hi), = _stored(tg.box)
         for p in range(lo + 2, hi + 1, 2):
             assert label_at(tg, (p,), 1) == tail_coeff(tail, p), (terms, p)
-
-
-def test_knot_refusal_names_the_lowest_bad_exponent(monkeypatch):
-    # 2u - 3 + 2/u has tail coefficients 2 at 2/2 and -1 at 0/2, both
-    # outside {0, 1}; the refusal names the lower, after one tail pass.
-    calls = _count_tail_reads(monkeypatch)
-    with pytest.raises(NotLSpaceLink) as exc:
-        build_tgraph(_knot({(2,): 2, (0,): -3, (-2,): 2}))
-    assert str(exc.value) == (
-        "normalized coefficient -1 at exponent 0/2; "
-        "not an L-space knot profile (or wrong sign)")
-    assert len(calls) == 1
 
 
 def test_sublink_refusal_names_link_coordinates():
