@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, product, repeat
+from itertools import accumulate, chain, repeat
 from operator import mul, sub
 
 from .cubes import (GradedVS, _corner_at, complete_subgraph, euler_char,
@@ -44,7 +44,8 @@ from .cubes import (GradedVS, _corner_at, complete_subgraph, euler_char,
 from .errors import HypothesisNotMet, NotLSpaceLink, RegionUnstable
 from .laurent import MultiLaurent, TailPoly
 from .lspace import (LinkProfile, NormalizedFamily, _box, _corner, _hull,
-                     box_points, normalized_family, resolve_margin)
+                     _flat, _length, _strides, box_points,
+                     normalized_family, resolve_margin)
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class TGraph:
     def to_json(self) -> dict:
         # Box points lie 2 steps above the stored bottom: no label clamps.
         v, rect = self.values, _stored(self.box)
-        steps = list(enumerate(_strides(rect), start=1))
+        steps = list(enumerate(_strides(map(_length, rect)), start=1))
         pts = list(zip(box_points(self.box), _flat(rect, self.box)))
         return {
             "box": [list(b) for b in self.box],
@@ -152,7 +153,7 @@ def _field(fam, s_set, box, margin) -> list:
 
     l = len(box)
     m2 = _corner(fam, s_set)
-    strides = _strides(rect)
+    strides = _strides(map(_length, rect))
     g = [None] * strides[0] * _length(rect[0])
     # Stable prefill: on the slab p_i >= m_i the grading is that of the
     # sublink without component i, read at the same point.  Where slabs i
@@ -226,27 +227,6 @@ def _stored(box) -> tuple:
     return tuple((lo - 4, hi) for lo, hi in box)
 
 
-def _length(r) -> int:
-    """The number of doubled lattice points in the range r."""
-    return (r[1] - r[0]) // 2 + 1
-
-
-def _strides(rect) -> list:
-    """The flat-index step of each axis in ``box_points`` order over rect."""
-    out = [1]
-    for r in rect[:0:-1]:
-        out.insert(0, out[0] * _length(r))
-    return out
-
-
-def _flat(rect, window):
-    """The flat indices in rect of the points of window, a box inside it,
-    in ``box_points`` order."""
-    return map(sum, product(*[
-        range((a - lo) // 2 * st, (b - lo) // 2 * st + 1, st)
-        for (a, b), (lo, _), st in zip(window, rect, _strides(rect))]))
-
-
 def _window(values, rect, window) -> list:
     """The flat values over rect restricted to window, a box inside it, in
     ``box_points`` order: one slice per row along the last axis."""
@@ -259,7 +239,7 @@ def _verify_bottom_stability(g, box):
     """One step below the box, the g differences must repeat the bottom row;
     points are scanned in sorted order, so the witness is canonical."""
     rect = _stored(box)
-    strides = _strides(rect)
+    strides = _strides(map(_length, rect))
     for axis, (low, _) in enumerate(box):
         row = rect[:axis] + ((low - 2, low - 2),) + rect[axis + 1:]
         for p, k in zip(box_points(row), _flat(rect, row)):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import index
+from operator import add, index
 
 from .errors import CosetMismatch, NotDivisible
 
@@ -139,7 +139,7 @@ class MultiLaurent:
         out: dict[ExponentVec, int] = {}
         for e2, c in self.terms.items():
             for f2, d in other.terms.items():
-                key = tuple(a + b for a, b in zip(e2, f2))
+                key = tuple(map(add, e2, f2))
                 s = out.get(key, 0) + c * d
                 if s:
                     out[key] = s
@@ -156,8 +156,7 @@ class MultiLaurent:
             raise ValueError("shift vector has wrong length")
         return MultiLaurent._trusted(
             self.nvars,
-            {tuple(a + b for a, b in zip(f2, e2)): c
-             for f2, c in self.terms.items()})
+            {tuple(map(add, f2, e2)): c for f2, c in self.terms.items()})
 
     # -- plumbing ---------------------------------------------------------------
 

@@ -10,10 +10,13 @@ remains.
 The checkers evaluate, at every lattice point of the default box, the signed
 sums of coefficients that must land in {0, 1} for an L-space link, plus the
 sharper alternating-sign conditions available for two components.  The
-sums are rows along the box's last axis, one per direction and index of the
-other axes, built by whole-row running sums over buckets of each entry's
-terms; the two-component conditions read the normalized polynomial's
-columns and rows as runs of one sort per direction, under both signs.
+sums are one flat list per direction over the box grown by one step, in
+``box_points`` order and walked by integer strides: each entry's terms are
+bucketed by flat index, a tail is one strided slice, and the running sums
+are whole-block adds on the leading axes and one accumulate per row on the
+last.  The two-component conditions read the normalized polynomial's
+columns and rows as runs of one sort per direction, and decide both signs
+in that one pass: only the leading clause depends on the sign.
 """
 
 from __future__ import annotations
@@ -131,15 +134,22 @@ class LinkProfile:
             yield self.with_signs(dict(zip(autos, bits)))
 
     def with_signs(self, resolution: dict) -> LinkProfile:
-        """Apply a sign choice (+1/-1 per subset) and pin the flags."""
+        """Apply a sign choice (+1/-1 per subset) and pin the flags.  The
+        result is not validated again: negation keeps every coset, and lk
+        and the set of sublinks do not change."""
         delta = dict(self.delta)
         signs = dict(self.signs)
         for m, s in resolution.items():
             m = frozenset(m)
+            if m not in delta or s not in (1, -1):
+                raise ValueError(f"cannot pin {subset_key(m)!r} to {s!r}: the "
+                                 "key must name a sublink, the sign be 1 or -1")
             if s == -1:
                 delta[m] = -delta[m]
             signs[m] = "+"
-        return LinkProfile(self.l, self.lk, delta, signs)
+        out = object.__new__(LinkProfile)
+        out.__dict__.update(vars(self), delta=delta, signs=signs)
+        return out
 
     # -- JSON -----------------------------------------------------------------
 
@@ -275,44 +285,78 @@ def normalized_family(prof: LinkProfile) -> NormalizedFamily:
     return NormalizedFamily(prof.l, entries)
 
 
+def _length(r) -> int:
+    """The number of doubled lattice points in the range r."""
+    return (r[1] - r[0]) // 2 + 1
+
+
+def _flat(rect, window):
+    """The flat indices in rect of the points of window, a box inside it,
+    in ``box_points`` order."""
+    strides = _strides(map(_length, rect))
+    return map(sum, itertools.product(*[
+        range((a - lo) // 2 * st, (b - lo) // 2 * st + 1, st)
+        for (a, b), (lo, _), st in zip(window, rect, strides)]))
+
+
+def _strides(sizes) -> list:
+    """The flat-index step of each axis in ``box_points`` order over axes
+    of the given sizes."""
+    return list(itertools.accumulate([1, *list(sizes)[:0:-1]],
+                                     operator.mul))[::-1]
+
+
 def _theorem_rows(fam: NormalizedFamily, grid) -> list:
     """The theorem's signed sums over a grid (one sorted list of doubled
-    values per axis): per direction r, a dict from each index tuple of the
-    other axes (in product order) to the row along the last axis.  A signed
-    entry term goes into the bucket at its exponent in r, the last grid
-    value at or below it elsewhere outside S, and the top of each axis in
-    S; a tail's terms are its coefficients on r's grid values.  Running
-    sums from the top along every axis but r spread the buckets."""
+    values per axis): per direction r, one flat list over the grid's points
+    in ``box_points`` order.  A signed entry term goes into the bucket at
+    its exponent in r, the last grid value at or below it elsewhere outside
+    S, and the top of each axis in S; a tail adds its coefficients on r's
+    grid values as one strided slice.  Running sums from the top along
+    every axis but r spread the buckets: whole blocks on the leading axes,
+    one accumulate per row on the last."""
     l, sizes = fam.l, [len(vals) for vals in grid]
-    heads = list(itertools.product(*map(range, sizes[:-1])))
+    strides = _strides(sizes)
+    total, n = strides[0] * sizes[0], sizes[-1]
     exact = [{x: k for k, x in enumerate(vals)} for vals in grid]
     out = []
     for r in range(1, l + 1):
-        rows = {head: [0] * sizes[-1] for head in heads}
-        for s in subsets_of(l, proper=True):
+        flat = [0] * total
+        for s, entry in fam.entries.items():
             if r in s:
                 continue
-            entry, vals = fam.entries[s], grid[r - 1]
-            terms = entry.terms.items() if isinstance(entry, MultiLaurent) \
-                else zip([(x,) for x in vals], entry.coeffs(vals))
-            comp = [j - 1 for j in range(1, l + 1) if j not in s]
             sign = (-1) ** (l - 1 - len(s))
-            for e2, c in terms:
-                idx = [n - 1 for n in sizes]
+            k0 = sum((sizes[j - 1] - 1) * strides[j - 1] for j in s)
+            if isinstance(entry, TailPoly):
+                st = strides[r - 1]
+                cut = slice(k0, k0 + sizes[r - 1] * st, st)
+                flat[cut] = map(operator.add, flat[cut],
+                                [sign * c for c in entry.coeffs(grid[r - 1])])
+                continue
+            comp = [j - 1 for j in range(1, l + 1) if j not in s]
+            for e2, c in entry.terms.items():
+                k = k0
                 for a, x in zip(comp, e2):
-                    idx[a] = exact[a].get(x, -1) if a == r - 1 else \
+                    i = exact[a].get(x, -1) if a == r - 1 else \
                         bisect_right(grid[a], x) - 1
-                if min(idx) >= 0:       # on the grid in r, not below it
-                    rows[tuple(idx[:-1])][idx[-1]] += sign * c
+                    if i < 0:           # off the grid in r, or below it
+                        break
+                    k += i * strides[a]
+                else:
+                    flat[k] += sign * c
+        flat.reverse()                  # sums from the top run forward
         for a in range(l - 1):
-            for head in reversed(heads):
-                if a != r - 1 and head[a] + 1 < sizes[a]:
-                    above = rows[head[:a] + (head[a] + 1,) + head[a + 1:]]
-                    rows[head] = list(map(operator.add, rows[head], above))
+            if a != r - 1:
+                st, block = strides[a], strides[a] * sizes[a]
+                for k in range(st, total, st):
+                    if k % block:       # not the top block of axis a
+                        flat[k:k + st] = map(operator.add, flat[k:k + st],
+                                             flat[k - st:k])
         if r != l:
-            for head, row in rows.items():
-                rows[head] = list(itertools.accumulate(reversed(row)))[::-1]
-        out.append(rows)
+            for k in range(0, total, n):
+                flat[k:k + n] = itertools.accumulate(flat[k:k + n])
+        flat.reverse()
+        out.append(flat)
     return out
 
 
@@ -355,7 +399,8 @@ def _corner(fam: NormalizedFamily, s) -> tuple[int, ...]:
 
 def resolve_margin(margin: int | None = None) -> int:
     """The box margin: the given value, else the environment variable
-    LFK_MARGIN, else 2.  It must be an integer of at least 2."""
+    LFK_MARGIN, else 2.  It must be an integer of at least 2; a float or a
+    boolean is refused, not read as one."""
     if margin is None:
         text = os.environ.get("LFK_MARGIN", "2")
         try:
@@ -363,6 +408,12 @@ def resolve_margin(margin: int | None = None) -> int:
         except ValueError:
             raise ValueError(
                 f"LFK_MARGIN must be an integer, got {text!r}") from None
+    else:
+        try:
+            margin = json_int(margin)
+        except TypeError:
+            raise TypeError(
+                f"box margin must be an integer, got {margin!r}") from None
     if margin < 2:
         raise ValueError("box margin must be at least 2")
     return margin
@@ -426,8 +477,8 @@ def theorem_alex_check(prof: LinkProfile,
     Values on the box boundary are compared with their outward neighbors;
     disagreement raises RegionUnstable since the box then failed to capture
     the stable behavior.  All values come from one _theorem_rows pass over
-    the box grown by one step, on one normalized family; a row within
-    [0, 1], or a face equal to its outward one, is passed whole.
+    the box grown by one step, on one normalized family; the box and each
+    face are read at their flat indices in it.
     """
     return _theorem_check(normalized_family(prof), margin)
 
@@ -435,44 +486,25 @@ def theorem_alex_check(prof: LinkProfile,
 def _theorem_check(fam: NormalizedFamily, margin) -> TheoremReport:
     """theorem_alex_check on a built family."""
     box = _box(fam, frozenset(), resolve_margin(margin))
-    l = fam.l
     # The box and its outward neighbours: both edges of an axis lie on one
-    # coset, so lo - 2 and hi + 2 sit at its ends, lo and hi next to them.
-    grid = [list(range(lo - 2, hi + 3, 2)) for lo, hi in box]
-    rows = _theorem_rows(fam, grid)
-    spans = [range(1, len(vals) - 1) for vals in grid]
-    cols = slice(spans[-1].start, spans[-1].stop)
-    violations = []
-    for head in itertools.product(*spans[:-1]):
-        line = [by_r[head] for by_r in rows]
-        if any(min(row[cols]) < 0 or max(row[cols]) > 1 for row in line):
-            at = tuple(vals[i] for vals, i in zip(grid, head))
-            violations += [(at + (grid[-1][k],), r, row[k]) for k in spans[-1]
-                           for r, row in enumerate(line, start=1)
-                           if row[k] not in (0, 1)]
-    for axis in range(l):
-        for edge, out in ((1, 0), (len(grid[axis]) - 2, len(grid[axis]) - 1)):
-            face = [range(edge, edge + 1) if a == axis else span
-                    for a, span in enumerate(spans)]
-            ks, last = face[-1], axis == l - 1
-            # Outward along the last axis is another column of the same
-            # rows; along any other axis it is another set of rows.
-            moves = [(h, h if last else h[:axis] + (out,) + h[axis + 1:])
-                     for h in itertools.product(*face[:-1])]
-            shift = out - edge if last else 0
-            if all([by_r[h][ks.start:ks.stop] for h, _ in moves]
-                   == [by_r[t][ks.start + shift:ks.stop + shift]
-                       for _, t in moves] for by_r in rows):
-                continue
-            for h, t in moves:
-                diffs = [(k, r) for r, by_r in enumerate(rows, start=1)
-                         for k in ks if by_r[h][k] != by_r[t][k + shift]]
-                if diffs:
-                    k, r = min(diffs)
-                    at = tuple(vals[i] for vals, i in zip(grid, h + (k,)))
-                    raise RegionUnstable(
-                        f"value changes stepping outward at {at} "
-                        f"(direction {r}); enlarge the margin")
+    # coset, so lo - 2 and hi + 2 sit at its ends.
+    rect = tuple((lo - 2, hi + 2) for lo, hi in box)
+    rows = _theorem_rows(fam, [list(range(lo, hi + 1, 2)) for lo, hi in rect])
+    violations = [(p, r, by_r[k])
+                  for p, k in zip(box_points(box), _flat(rect, box))
+                  for r, by_r in enumerate(rows, start=1)
+                  if by_r[k] not in (0, 1)]
+    strides = _strides(map(_length, rect))
+    for axis, (lo, hi) in enumerate(box):
+        for edge, step in ((lo, -1), (hi, 1)):
+            face = box[:axis] + ((edge, edge),) + box[axis + 1:]
+            d = step * strides[axis]
+            for p, k in zip(box_points(face), _flat(rect, face)):
+                for r, by_r in enumerate(rows, start=1):
+                    if by_r[k] != by_r[k + d]:
+                        raise RegionUnstable(
+                            f"value changes stepping outward at {p} "
+                            f"(direction {r}); enlarge the margin")
     return TheoremReport(not violations, tuple(violations), tuple(box))
 
 
@@ -507,20 +539,14 @@ def cor_alex2_check(prof: LinkProfile) -> CorReport:
 
 
 def _cor_check(fam: NormalizedFamily) -> CorReport:
-    """cor_alex2_check on a built family.  The +1 run is the family as
-    given: the sign of Delta_L enters it only through its empty-set entry."""
-    runs = {1: _cor_failures(fam, 1), -1: _cor_failures(fam, -1)}
-    passing = [s for s in (1, -1) if not runs[s]]
-    sign = passing[0] if len(passing) == 1 else None
-    return CorReport(not runs[1], tuple(runs[1]), sign)
-
-
-def _cor_failures(fam: NormalizedFamily, sign: int):
-    """The clauses failed by sign * P_empty, whose columns (r = 1) or rows
-    (r = 2) are runs of one sort of its terms by (u_r, other) exponent."""
+    """cor_alex2_check on a built family, under both signs of Delta_L in
+    one pass.  The sign enters only through P_empty, and of the clauses on
+    its columns (r = 1) and rows (r = 2), runs of one sort of its terms by
+    (u_r, other) exponent, only the leading one depends on it."""
     terms = sorted(fam.p_empty.terms.items())
-    failures = [("coefficient", 0, list(e2), f"coefficient {sign * c} at {e2}")
+    failures = [("coefficient", 0, list(e2), f"coefficient {c} at {e2}")
                 for e2, c in terms if abs(c) > 1]
+    flipped_fails = False           # -P_empty fails the leading clause
     for r in (1, 2):
         tail = fam.entries[frozenset({3 - r})]
         if not tail.numer.is_zero():
@@ -531,7 +557,7 @@ def _cor_failures(fam: NormalizedFamily, sign: int):
                          if t not in (0, 1)]
         if r == 2:
             terms.sort(key=lambda term: term[0][::-1])
-        runs = [(er, [sign * c for _, c in run]) for er, run in
+        runs = [(er, [c for _, c in run]) for er, run in
                 itertools.groupby(terms, key=lambda term: term[0][r - 1])]
         for (er, nz), t in zip(runs, tail.coeffs([er for er, _ in runs])):
             if any(a * b > 0 for a, b in zip(nz, nz[1:])):
@@ -543,6 +569,10 @@ def _cor_failures(fam: NormalizedFamily, sign: int):
             if nz[-1] != want:
                 failures.append(("leading", r, er,
                                  f"top coefficient {nz[-1]}, expected {want}"))
+            flipped_fails = flipped_fails or -nz[-1] != want
         # tail exponents where the restriction is zero: nothing to check;
         # the theorem-level sums cover those points.
-    return failures
+    flipped_fails = flipped_fails or any(f[0] != "leading" for f in failures)
+    passing = [s for s, bad in ((1, failures), (-1, flipped_fails)) if not bad]
+    sign = passing[0] if len(passing) == 1 else None
+    return CorReport(not failures, tuple(failures), sign)

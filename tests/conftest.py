@@ -318,14 +318,13 @@ def theorem_sum(fam, point2, r: int) -> int:
 
 
 def theorem_field(fam, grid) -> dict:
-    """Every theorem sum over a grid, {(point2, r): value}, as a flattening
-    of lspace._theorem_rows.  grid holds one sorted list of doubled values
-    per axis, and the points are their product."""
-    heads = list(itertools.product(*grid[:-1]))
-    return {(head + (x,), r): v
-            for r, rows in enumerate(_theorem_rows(fam, grid), start=1)
-            for head, row in zip(heads, rows.values())
-            for x, v in zip(grid[-1], row)}
+    """Every theorem sum over a grid, {(point2, r): value}, as a keyed view
+    of lspace._theorem_rows, which returns one flat list per direction over
+    the grid's points in product (``box_points``) order.  grid holds one
+    sorted list of doubled values per axis."""
+    return {(p, r): v
+            for r, flat in enumerate(_theorem_rows(fam, grid), start=1)
+            for p, v in zip(itertools.product(*grid), flat, strict=True)}
 
 
 def theorem_check_per_point(prof, margin=2):

@@ -6,17 +6,19 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (cor_check_per_column, r_sum, random_profile,
-                      screen_digests, split_union_with_unknot, sub_profile,
-                      tail_coeff, theorem_check_per_point, theorem_field,
-                      theorem_sum, unstable_profile)
+from conftest import (cor_check_per_column, r_sum, rand_nonzero,
+                      random_profile, screen_digests, split_union_with_unknot,
+                      sub_profile, tail_coeff, theorem_check_per_point,
+                      theorem_field, theorem_sum, unstable_profile)
 from lfk.bridge import TwoBridge
 from lfk.cli import family_links
 from lfk.errors import CosetViolation, RegionUnstable
+from lfk.floer import build_tgraph
 from lfk.laurent import MultiLaurent, TailPoly
 from lfk.lspace import (LinkProfile, box_points, cor_alex2_check, default_box,
-                        m_vector, normalized_family, theorem_alex_check,
-                        two_bridge_profile, unknot_profile, unlink_profile)
+                        m_vector, normalized_family, resolve_margin,
+                        subsets_of, theorem_alex_check, two_bridge_profile,
+                        unknot_profile, unlink_profile)
 
 B20_P_EMPTY = MultiLaurent(2, {
     (2, 4): 1, (4, 2): 1, (2, 0): 1, (0, 2): 1, (-2, 0): 1, (0, -2): 1,
@@ -134,6 +136,11 @@ def test_theorem_field_matches_pointwise_sums():
     for alpha, beta in _two_bridge_pairs(30):
         prof = two_bridge_profile(TwoBridge(alpha, beta))
         cases += [(prof.with_signs({prof.full(): s}), None) for s in (1, -1)]
+    # Fields with many nonzero values at l = 3 exercise every stride.
+    rng = random.Random(12)
+    cases += [(prof, default_box(prof, margin))
+              for prof in [random_profile(rng, l) for l in (2, 3) * 2]
+              for margin in (2, 3)]
     for prof, box in cases:
         fam = normalized_family(prof)
         # the grid the check reads: box, outward neighbours, upper edge
@@ -198,6 +205,10 @@ def test_theorem_check_matches_per_point_route():
     # margin 10 costs the per-point route about a second per union
     cases += [(split_union_with_unknot(p), {"margin": 10})
               for p in (pairs[0], pairs[-2], pairs[-1])]
+    rng = random.Random(11)
+    cases += [(prof, {"margin": margin})
+              for prof in [random_profile(rng, l) for l in (2, 3) * 3]
+              for margin in (2, 3)]
     for prof, kw in cases:
         kw.setdefault("margin", 2)
         assert _outcome(theorem_alex_check, prof, **kw) == \
@@ -209,9 +220,75 @@ def test_cor_check_matches_per_column_route():
                 b20_profile().with_signs({frozenset({1}): -1})]
     profiles += [two_bridge_profile(TwoBridge(alpha, beta))
                  for alpha, beta in _two_bridge_pairs(100)]
+    # Random draws fail the coefficient clause far more often; draws with
+    # unit coefficients and knotted components fail the tail, leading and
+    # alternation clauses and pass under either sign alone.
+    rng = random.Random(13)
+    profiles += [random_profile(rng, 2) for _ in range(300)]
+    profiles += [_unit_profile(rng) for _ in range(300)]
     for prof in profiles:
         assert cor_alex2_check(prof) == cor_check_per_column(prof), \
             prof.to_json()
+
+
+def _unit(p):
+    return MultiLaurent(p.nvars, {e2: 1 if c > 0 else -1
+                                  for e2, c in p.terms.items()})
+
+
+def _unit_profile(rng):
+    """A random two-component profile with every coefficient 1 or -1,
+    whose components are knotted half the time."""
+    prof = random_profile(rng, 2)
+    delta = {m: _unit(p) for m, p in prof.delta.items()}
+    for m in (frozenset({1}), frozenset({2})):
+        if rng.random() < 0.5:
+            delta[m] = _unit(rand_nonzero(rng, nvars=1, max_terms=3, span=2,
+                                          parity=(0,)))
+    return LinkProfile(2, prof.lk, delta)
+
+
+def test_with_signs_matches_validating_constructor():
+    rng = random.Random(14)
+    for l in (1, 2, 3) * 40:
+        prof = random_profile(rng, l)
+        keys = subsets_of(l, nonempty=True)
+        pick = rng.sample(keys, rng.randint(0, len(keys)))
+        resolution = {m: rng.choice((1, -1)) for m in pick}
+        delta, signs = dict(prof.delta), dict(prof.signs)
+        for m, s in resolution.items():
+            delta[m] = delta[m] * s
+            signs[m] = "+"
+        want = LinkProfile(prof.l, prof.lk, delta, signs)
+        got = prof.with_signs(resolution)
+        assert got == want, (prof.to_json(), resolution)
+        assert got.to_json() == want.to_json()
+
+
+def test_with_signs_refuses_bad_sign_and_unknown_key():
+    prof = two_bridge_profile(TwoBridge(12, 5))
+    # None is the sign of a failed corollary; it used to pin "+".
+    for bad in (None, 0, 2, "+"):
+        with pytest.raises(ValueError, match=r"'12'"):
+            prof.with_signs({prof.full(): bad})
+    # An unknown key is refused under either sign, naming the key.
+    for s in (1, -1, None):
+        with pytest.raises(ValueError, match=r"'13'"):
+            prof.with_signs({frozenset({1, 3}): s})
+
+
+def test_library_margin_must_be_an_integer():
+    prof = two_bridge_profile(TwoBridge(8, -3))
+    prof = prof.with_signs({prof.full(): cor_alex2_check(prof).sign})
+    for bad in (3.0, 2.5, True, "3"):
+        for call in (resolve_margin, lambda m: default_box(prof, margin=m),
+                     lambda m: theorem_alex_check(prof, margin=m),
+                     lambda m: build_tgraph(prof, margin=m)):
+            with pytest.raises(TypeError, match="box margin must be an "
+                               f"integer, got {bad!r}"):
+                call(bad)
+    assert resolve_margin(3) == 3
+    assert default_box(prof, margin=3) == ((-6, 8), (-6, 8))
 
 
 def test_cor_check_b20():
