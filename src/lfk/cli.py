@@ -22,9 +22,8 @@ from .cubes import (CubeLabeling, check_dimension, corner_homology,
                     oracle_corner_homology)
 from .errors import LfkError
 from .floer import alternating_cross_check, build_tgraph, hfl_hat, hfl_minus
-from .lspace import (LinkProfile, _cor_check, _theorem_check,
-                     cor_alex2_check, normalized_family, resolve_margin,
-                     two_bridge_profile)
+from .lspace import (LinkProfile, cor_alex2_check, normalized_family,
+                     resolve_margin, theorem_alex_check, two_bridge_profile)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -287,13 +286,12 @@ def _cmd_check(args) -> int:
     margin = resolve_margin(args.margin)
     cor_fail = thm_fail = None
     for cand in prof.assignments():
-        fam = normalized_family(cand)
         if cand.l == 2:
-            cor = _cor_check(fam)
+            cor = cor_alex2_check(cand)
             if not cor.ok:
                 cor_fail = cor_fail or cor
                 continue
-        thm = _theorem_check(fam, margin)
+        thm = theorem_alex_check(cand, margin)
         if thm.ok:
             print(json.dumps({"ok": True, "box": [list(b) for b in thm.box]}))
             return EXIT_OK

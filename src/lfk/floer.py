@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from operator import mul, sub
 
 from .cubes import (GradedVS, _corner_at, complete_subgraph, euler_char,
@@ -44,7 +44,7 @@ from .cubes import (GradedVS, _corner_at, complete_subgraph, euler_char,
 from .errors import HypothesisNotMet, NotLSpaceLink, RegionUnstable
 from .laurent import MultiLaurent, TailPoly
 from .lspace import (LinkProfile, NormalizedFamily, _box, _corner, _hull,
-                     _flat, _length, _strides, box_points,
+                     _flat, _length, _strides, _window, box_points,
                      normalized_family, resolve_margin)
 
 
@@ -225,14 +225,6 @@ def _stored(box) -> tuple:
     """The region a field over box is stored on: the box and two steps
     below it."""
     return tuple((lo - 4, hi) for lo, hi in box)
-
-
-def _window(values, rect, window) -> list:
-    """The flat values over rect restricted to window, a box inside it, in
-    ``box_points`` order: one slice per row along the last axis."""
-    a, n = window[-1][0], _length(window[-1])
-    starts = _flat(rect, [*window[:-1], (a, a)])
-    return list(chain.from_iterable(values[k:k + n] for k in starts))
 
 
 def _verify_bottom_stability(g, box):

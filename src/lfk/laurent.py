@@ -262,7 +262,7 @@ class TailPoly:
     monomial with coefficient +-1) has all coefficients equal to that sign at
     exponents at or below the threshold, and 0 above.
 
-    Never enters ring arithmetic; only coefficient extraction consumes it.
+    Enters no ring arithmetic but negation; coefficient extraction reads it.
     """
 
     var: int              # 1-based index of the surviving component variable
@@ -282,6 +282,9 @@ class TailPoly:
                 total += terms.pop()[1]
             out.append(total if x & 1 == par else 0)
         return out[::-1]
+
+    def __neg__(self) -> TailPoly:
+        return TailPoly(self.var, -self.numer)
 
     def __repr__(self):
         return f"TailPoly(u{self.var}; numer={self.numer!r})"

@@ -5,7 +5,7 @@ sublink (each defined up to a global sign, tracked by a flag) together with
 the pairwise linking numbers.  From it the normalized family is built: one
 polynomial per proper sublink-complement, monomially shifted by half linking
 numbers, with a geometric-series tail factor when a single component
-remains.
+remains.  A profile builds its family once, and with_signs carries it over.
 
 The checkers evaluate, at every lattice point of the default box, the signed
 sums of coefficients that must land in {0, 1} for an L-space link, plus the
@@ -14,9 +14,11 @@ sums are one flat list per direction over the box grown by one step, in
 ``box_points`` order and walked by integer strides: each entry's terms are
 bucketed by flat index, a tail is one strided slice, and the running sums
 are whole-block adds on the leading axes and one accumulate per row on the
-last.  The two-component conditions read the normalized polynomial's
-columns and rows as runs of one sort per direction, and decide both signs
-in that one pass: only the leading clause depends on the sign.
+last; the theorem check decides by gathering rows at flat indices and
+builds its violations only when read.  The two-component conditions read
+the normalized polynomial's columns and rows as runs of one sort per
+direction, and decide both signs in that one pass: only the leading
+clause depends on the sign.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import operator
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .bridge import (TwoBridge, alexander, even_expansion, linking_number)
 from .errors import CosetViolation, RegionUnstable
@@ -55,7 +58,8 @@ class LinkProfile:
     signs carries "+" or "auto" per subset; the polynomials stored in delta
     are the ones used by every computation.  "+" pins the stored polynomial,
     "auto" lets its sign be searched; flipping a sign means replacing the
-    stored polynomial by its negative and pinning it.
+    stored polynomial by its negative and pinning it.  family is the
+    normalized family, built on first use and carried through with_signs.
     """
 
     l: int
@@ -121,6 +125,10 @@ class LinkProfile:
     def full(self) -> Subset:
         return frozenset(range(1, self.l + 1))
 
+    @cached_property
+    def family(self) -> NormalizedFamily:
+        return _build_family(self)
+
     def assignments(self):
         """Every sign assignment to the "auto" subsets, as pinned profiles:
         the one keeping every stored polynomial first, or just this profile
@@ -136,9 +144,11 @@ class LinkProfile:
     def with_signs(self, resolution: dict) -> LinkProfile:
         """Apply a sign choice (+1/-1 per subset) and pin the flags.  The
         result is not validated again: negation keeps every coset, and lk
-        and the set of sublinks do not change."""
+        and the set of sublinks do not change.  A built family is carried
+        over, negated where flipped: negation commutes with the shift."""
         delta = dict(self.delta)
         signs = dict(self.signs)
+        entries = dict(self.family.entries) if "family" in vars(self) else None
         for m, s in resolution.items():
             m = frozenset(m)
             if m not in delta or s not in (1, -1):
@@ -146,9 +156,13 @@ class LinkProfile:
                                  "key must name a sublink, the sign be 1 or -1")
             if s == -1:
                 delta[m] = -delta[m]
+                if entries is not None:
+                    entries[self.full() - m] = -entries[self.full() - m]
             signs[m] = "+"
         out = object.__new__(LinkProfile)
         out.__dict__.update(vars(self), delta=delta, signs=signs)
+        if entries is not None:
+            out.__dict__["family"] = NormalizedFamily(self.l, entries)
         return out
 
     # -- JSON -----------------------------------------------------------------
@@ -263,6 +277,11 @@ class NormalizedFamily:
 
 
 def normalized_family(prof: LinkProfile) -> NormalizedFamily:
+    """The profile's normalized family, built once per profile."""
+    return prof.family
+
+
+def _build_family(prof: LinkProfile) -> NormalizedFamily:
     """Build every normalized sublink polynomial of the profile.
 
     The complement of S keeps variables in ascending component order.  For
@@ -297,6 +316,14 @@ def _flat(rect, window):
     return map(sum, itertools.product(*[
         range((a - lo) // 2 * st, (b - lo) // 2 * st + 1, st)
         for (a, b), (lo, _), st in zip(window, rect, strides)]))
+
+
+def _window(values, rect, window) -> list:
+    """The flat values over rect restricted to window, a box inside it, in
+    ``box_points`` order: one slice per row along the last axis."""
+    a, n = window[-1][0], _length(window[-1])
+    return list(itertools.chain.from_iterable(
+        values[k:k + n] for k in _flat(rect, [*window[:-1], (a, a)])))
 
 
 def _strides(sizes) -> list:
@@ -399,15 +426,13 @@ def _corner(fam: NormalizedFamily, s) -> tuple[int, ...]:
 
 def resolve_margin(margin: int | None = None) -> int:
     """The box margin: the given value, else the environment variable
-    LFK_MARGIN, else 2.  It must be an integer of at least 2; a float or a
-    boolean is refused, not read as one."""
+    LFK_MARGIN (ASCII decimal digits only), else 2.  It must be an integer
+    of at least 2; a float or a boolean is refused, not read as one."""
     if margin is None:
         text = os.environ.get("LFK_MARGIN", "2")
-        try:
-            margin = int(text)
-        except ValueError:
-            raise ValueError(
-                f"LFK_MARGIN must be an integer, got {text!r}") from None
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(f"LFK_MARGIN must be an integer, got {text!r}")
+        margin = int(text)
     else:
         try:
             margin = json_int(margin)
@@ -457,11 +482,24 @@ def box_points(box):
 # -- checkers ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TheoremReport:
+    """The verdict, the box, and per direction the values at the box points
+    in ``box_points`` order; violations are listed from them when read."""
+
     ok: bool
-    violations: tuple
     box: tuple
+    values: tuple
+
+    @cached_property
+    def violations(self) -> tuple:
+        return tuple((p, r, v) for p, vs in zip(box_points(self.box),
+                                                zip(*self.values))
+                     for r, v in enumerate(vs, start=1) if v not in (0, 1))
+
+    def __eq__(self, other):
+        key = operator.attrgetter("ok", "violations", "box")
+        return isinstance(other, TheoremReport) and key(self) == key(other)
 
     def to_json(self):
         return {"ok": self.ok, "box": [list(b) for b in self.box],
@@ -477,35 +515,34 @@ def theorem_alex_check(prof: LinkProfile,
     Values on the box boundary are compared with their outward neighbors;
     disagreement raises RegionUnstable since the box then failed to capture
     the stable behavior.  All values come from one _theorem_rows pass over
-    the box grown by one step, on one normalized family; the box and each
-    face are read at their flat indices in it.
+    the box grown by one step, on the profile's normalized family; the box
+    and each face are gathered at their flat indices in it.
     """
-    return _theorem_check(normalized_family(prof), margin)
-
-
-def _theorem_check(fam: NormalizedFamily, margin) -> TheoremReport:
-    """theorem_alex_check on a built family."""
+    fam = normalized_family(prof)
     box = _box(fam, frozenset(), resolve_margin(margin))
     # The box and its outward neighbours: both edges of an axis lie on one
     # coset, so lo - 2 and hi + 2 sit at its ends.
     rect = tuple((lo - 2, hi + 2) for lo, hi in box)
     rows = _theorem_rows(fam, [list(range(lo, hi + 1, 2)) for lo, hi in rect])
-    violations = [(p, r, by_r[k])
-                  for p, k in zip(box_points(box), _flat(rect, box))
-                  for r, by_r in enumerate(rows, start=1)
-                  if by_r[k] not in (0, 1)]
     strides = _strides(map(_length, rect))
     for axis, (lo, hi) in enumerate(box):
         for edge, step in ((lo, -1), (hi, 1)):
             face = box[:axis] + ((edge, edge),) + box[axis + 1:]
-            d = step * strides[axis]
-            for p, k in zip(box_points(face), _flat(rect, face)):
+            d, ks = step * strides[axis], list(_flat(rect, face))
+            inner = operator.itemgetter(*ks)
+            outer = operator.itemgetter(*[k + d for k in ks])
+            if all(inner(by_r) == outer(by_r) for by_r in rows):
+                continue        # else name the first point and direction
+            for p, k in zip(box_points(face), ks):
                 for r, by_r in enumerate(rows, start=1):
                     if by_r[k] != by_r[k + d]:
                         raise RegionUnstable(
                             f"value changes stepping outward at {p} "
                             f"(direction {r}); enlarge the margin")
-    return TheoremReport(not violations, tuple(violations), tuple(box))
+    # A box has at least five points per axis, so each gather is a tuple.
+    values = tuple(map(operator.itemgetter(*_flat(rect, box)), rows))
+    return TheoremReport(all(min(v) >= 0 and max(v) <= 1 for v in values),
+                         tuple(box), values)
 
 
 @dataclass(frozen=True)
@@ -531,18 +568,14 @@ def cor_alex2_check(prof: LinkProfile) -> CorReport:
     highest nonzero coefficient of each restriction matches the tail
     coefficient rule (+1 under a 1, -1 under a 0).  Also reports which
     global sign of the full Alexander polynomial passes, when exactly one
-    does.
+    does.  Both signs are decided in one pass: the sign enters only through
+    P_empty, and of the clauses on its columns (r = 1) and rows (r = 2),
+    runs of one sort of its terms by (u_r, other) exponent, only the
+    leading one depends on it.
     """
     if prof.l != 2:
         raise ValueError("this corollary checker needs exactly two components")
-    return _cor_check(normalized_family(prof))
-
-
-def _cor_check(fam: NormalizedFamily) -> CorReport:
-    """cor_alex2_check on a built family, under both signs of Delta_L in
-    one pass.  The sign enters only through P_empty, and of the clauses on
-    its columns (r = 1) and rows (r = 2), runs of one sort of its terms by
-    (u_r, other) exponent, only the leading one depends on it."""
+    fam = normalized_family(prof)
     terms = sorted(fam.p_empty.terms.items())
     failures = [("coefficient", 0, list(e2), f"coefficient {c} at {e2}")
                 for e2, c in terms if abs(c) > 1]

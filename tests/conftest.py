@@ -333,8 +333,8 @@ def theorem_check_per_point(prof, margin=2):
     fam = normalized_family(prof)
     box = default_box(prof, margin)
     l = prof.l
-    violations = [(p, r, v) for p in box_points(box) for r in range(1, l + 1)
-                  for v in [theorem_sum(fam, p, r)] if v not in (0, 1)]
+    values = tuple([theorem_sum(fam, p, r) for p in box_points(box)]
+                   for r in range(1, l + 1))
     for axis in range(l):
         for side, step in ((0, -2), (1, 2)):
             edge = box[axis][side]
@@ -349,7 +349,8 @@ def theorem_check_per_point(prof, margin=2):
                         raise RegionUnstable(
                             f"value changes stepping outward at {point} "
                             f"(direction {r}); enlarge the margin")
-    return TheoremReport(not violations, tuple(violations), box)
+    return TheoremReport(all(v in (0, 1) for vs in values for v in vs), box,
+                         values)
 
 
 def cor_check_per_column(prof):

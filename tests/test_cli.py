@@ -356,12 +356,16 @@ def test_margin_env_override():
     assert rc == 0
     small = run_cli("tgraph", "--ab", "8", "-3")[1]
     assert json.loads(out)["box"] != json.loads(small)["box"]
-    for bad, why in (("1", "error: box margin must be at least 2"),
-                     ("abc", "error: LFK_MARGIN must be an integer, got 'abc'")):
+    cases = [("1", "error: box margin must be at least 2")]
+    # Only ASCII decimal digits are read: no underscores, signs, spaces or
+    # other scripts' digits.
+    cases += [(bad, f"error: LFK_MARGIN must be an integer, got {bad!r}")
+              for bad in ("abc", "1_0", " +4 ", "+4", "-3", " 4", "\u0664")]
+    for bad, why in cases:
         for cmd in ("check", "tgraph"):
-            rc, _, err = run_cli(cmd, "--ab", "8", "-3",
-                                 env={"LFK_MARGIN": bad})
-            assert rc == 1 and why in err, (cmd, bad)
+            rc, out, err = run_cli(cmd, "--ab", "8", "-3",
+                                   env={"LFK_MARGIN": bad})
+            assert (rc, out, err) == (1, "", why + "\n"), (cmd, bad)
 
 
 def test_margin_below_two_is_refused(capsys):
@@ -498,18 +502,17 @@ def test_build_refusal_is_recorded_under_tgraph(monkeypatch):
 
 def test_check_builds_one_family_per_assignment(monkeypatch, capsys):
     # b(20,-3): one for the stored sign, which fails the corollary, and one
-    # for the flipped sign, which both checks read.
-    calls = []
+    # for the flipped sign, which both checks read off its profile.
+    builds, build = [], lfk.lspace._build_family
 
     def counting(prof):
-        calls.append(prof)
-        return normalized_family(prof)
+        builds.append(prof)
+        return build(prof)
 
-    monkeypatch.setattr(lfk.lspace, "normalized_family", counting)
-    monkeypatch.setattr(lfk.cli, "normalized_family", counting)
+    monkeypatch.setattr(lfk.lspace, "_build_family", counting)
     assert main(["check", "--ab", "20", "-3"]) == 0
     assert json.loads(capsys.readouterr().out)["ok"]
-    assert len(calls) == 2
+    assert len(builds) == 2
 
 
 def test_family_links_cover_reversal_forms():

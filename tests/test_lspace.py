@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import lfk.lspace
 from conftest import (cor_check_per_column, r_sum, rand_nonzero,
                       random_profile, screen_digests, split_union_with_unknot,
                       sub_profile, tail_coeff, theorem_check_per_point,
@@ -159,8 +160,12 @@ def test_theorem_check_screening_matches_reference():
     passing = set()
     for alpha, beta in _two_bridge_pairs(60):
         prof = two_bridge_profile(TwoBridge(alpha, beta))
-        passing |= {(alpha, beta, s) for s in (1, -1) if theorem_alex_check(
-            prof.with_signs({prof.full(): s})).ok}
+        for s in (1, -1):
+            rep = theorem_alex_check(prof.with_signs({prof.full(): s}))
+            # the verdict from the gathered values agrees with the list
+            assert rep.ok == (not rep.violations), (alpha, beta, s)
+            if rep.ok:
+                passing.add((alpha, beta, s))
     assert len(want) == 274
     assert passing == want
 
@@ -263,6 +268,49 @@ def test_with_signs_matches_validating_constructor():
         got = prof.with_signs(resolution)
         assert got == want, (prof.to_json(), resolution)
         assert got.to_json() == want.to_json()
+
+
+def test_with_signs_carries_the_family():
+    # A family built before the flip is carried over with the flipped
+    # entries negated; one not built yet is built by the child.  Either
+    # way it is the validating constructor's, and the parent's stays.
+    rng = random.Random(15)
+    for l in (1, 2, 3) * 40:
+        for built in (True, False):
+            prof = random_profile(rng, l)
+            keys = subsets_of(l, nonempty=True)
+            pick = rng.sample(keys, rng.randint(0, len(keys)))
+            resolution = {m: rng.choice((1, -1)) for m in pick}
+            delta = {m: p * resolution.get(m, 1) for m, p in prof.delta.items()}
+            want = normalized_family(LinkProfile(l, prof.lk, delta))
+            before = dict(normalized_family(prof).entries) if built else None
+            got = normalized_family(prof.with_signs(resolution))
+            assert got.l == l and got.entries.keys() == want.entries.keys()
+            for s, entry in want.entries.items():
+                assert got.entries[s] == entry, (prof.to_json(), resolution, s)
+            if built:
+                assert normalized_family(prof).entries == before
+            else:
+                assert "family" not in vars(prof)
+
+
+def test_obstruct_chain_builds_one_family_per_input(monkeypatch):
+    # The corollary check builds the family; both sign flips derive theirs
+    # from it.
+    builds, build = [], lfk.lspace._build_family
+
+    def counting(prof):
+        builds.append(prof)
+        return build(prof)
+
+    monkeypatch.setattr(lfk.lspace, "_build_family", counting)
+    inputs = [(20, -3), (12, 5), (8, -3), (30, 7), (44, -13)]
+    for alpha, beta in inputs:
+        prof = two_bridge_profile(TwoBridge(alpha, beta))
+        cor_alex2_check(prof)
+        for s in (1, -1):
+            theorem_alex_check(prof.with_signs({prof.full(): s}))
+    assert len(builds) == len(inputs)
 
 
 def test_with_signs_refuses_bad_sign_and_unknown_key():
