@@ -6,38 +6,39 @@ an L-space link).  g is the one stored field: the label of the edge into s
 in direction j is read off it as (g(s) - g(s - e_j)) / 2, which is 0 when
 the inclusion of sublevel complexes is an isomorphism and 1 when it drops a
 tower step.  The field is built from the link's normalized family alone,
-in one downward pass per sublink, all in the link's coordinates:
+once per sublink, all in the link's coordinates:
 
 * on each slab s_i >= m_i beyond the stabilization corner m(L), g repeats
   the field of the sublink with component i removed, which is built the
   same way from its own family entry; a single component's field is read
   off its tail;
-* inside, the origin s - 1 of the cube at s is graded from the gradings
-  of the cube's other vertices: of the at most two completions, the one
-  whose Euler characteristic matches the coefficient of the normalized
-  polynomial at s fixes g(s - 1);
+* inside, the cube at s has Euler characteristic, linear in its vertex
+  gradings, the coefficient of the normalized polynomial at s: g is a
+  running sum down each row from the slab, and each distinct cube's
+  origin must be its completion with that Euler characteristic;
 * afterwards the labels one step below the box must repeat.
 
 The construction refuses inputs for which no consistent field exists: such
 inputs cannot be L-space links.  The homology table assigns to each lattice
 point the corner homology of its unit cube.  g is stored flat in
 ``box_points`` order and walked by integer strides: the prefill copies runs
-of a sublink's values, the sweep and the table read a cube's vertices at
-fixed offsets, the table as row slices.  They answer from memos, keyed by a
-cube's upper gradings less the first (its rules commute with a shift) and
-by its vertex gradings.  The sweep's one order, by coordinate sum, names
-every refused cube.  The hat hypothesis is one map, ``HFLTable.blocked``,
-from each point where it fails to its first nonzero up-offset: the hat
-groups read it, and the alternating cross-check visits only the points
-outside it where the group or the predicted coefficient is nonzero.
+of a sublink's values, a row reads the rows above it, and the check and
+the table read a cube's vertices as one column of row slices per offset.
+They answer from memos, keyed by a cube's upper gradings less the first
+(its rules commute with a shift) and by its vertex gradings.  The first
+failing cube in the sweep order, by coordinate sum, names a refusal.  The
+hat hypothesis is one map, ``HFLTable.blocked``, from each point where it
+fails to its first nonzero up-offset: the hat groups read it, and the
+alternating cross-check visits only the points outside it where the group
+or the predicted coefficient is nonzero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, repeat
-from operator import mul, sub
+from itertools import accumulate, chain, compress, repeat
+from operator import add, attrgetter, mul, sub
 
 from .cubes import (GradedVS, _corner_at, complete_subgraph, euler_char,
                     vertices)
@@ -134,7 +135,7 @@ def _field(fam, s_set, box, margin) -> list:
     """g of the sublink L - S over the stored region of its box (the box and
     two steps below it), flat in ``box_points`` order, on the components
     outside S in the link's coordinates; fam[S] gives the Euler
-    characteristics of its cubes."""
+    characteristics of its cubes, checked once per distinct cube."""
     p0 = fam[s_set]
     rect = _stored(box)
     if isinstance(p0, TailPoly):
@@ -172,38 +173,65 @@ def _field(fam, s_set, box, margin) -> list:
         for t, k in enumerate(starts):
             g[k:k + size * run] = block[t * size:(t + 1) * size] * run
 
-    # Interior sweep: the cube at s has its origin s - 1 below every slab;
-    # its other vertices are graded before it, and of its completions the
-    # one whose Euler characteristic matches the coefficient grades the
-    # origin.  Every other cube lies in a slab, where g is constant along
-    # the slab direction and the coefficient is 0, so its Euler
-    # characteristic holds as well.  The sweep walks the doubled origins
-    # s - 2, with the coefficient at s read off p0 shifted down by 2; a
-    # cube's vertices lie at fixed flat offsets from its origin.
+    # Interior rows: the cube at s = o + 2 has its origin o below every slab
+    # and sum_eps (-1)^(l + |eps|) g(o + 2 eps) = 2 c(s), c(s) the
+    # coefficient at s.  So g(o) - g(o + 2 e_l) is 2 (-1)^l c(s) less the
+    # signed differences in the rows at o + 2 eps' (eps' != 0, eps'_l = 0),
+    # which descending flat order fills first: a row is a running sum down
+    # from the slab.  Other cubes lie in a slab, where g is constant along
+    # the slab direction and the coefficient is 0, so their rule holds too.
     origins = tuple((lo, m - 2) for (lo, _), m in zip(rect, m2))
-    index = dict(zip(box_points(origins), _flat(rect, origins)))
-    up = [sum(map(mul, d, strides)) // 2 for d in _cube_offsets(l)[1:]]
-    coeff_at = p0.shifted((-2,) * l).terms.get
-    for origin in _sweep_order(box_points(origins)):
-        i = index[origin]
-        upper = [g[i + o] for o in up]
-        unique, branches = _cube_rule(l, tuple([x - upper[0] for x in upper]))
-        target = coeff_at(origin, 0)
-        for d0, chi in branches:
-            if chi == target:
-                g[i] = upper[0] + d0
-                break
-        else:
-            s = tuple([x + 2 for x in origin])
-            if unique:
-                raise NotLSpaceLink(
-                    f"forced cube at {s} has Euler characteristic "
-                    f"{chi}, need coefficient {target}")
+    sizes = list(map(_length, origins))
+    o_strides, n, sign = _strides(sizes), sizes[-1], -2 if l % 2 else 2
+    coef = [0] * o_strides[0] * sizes[0]
+    for e2, c in p0.terms.items():
+        at = [(x - lo) // 2 - 1 for x, (lo, _) in zip(e2, origins)]
+        if all(0 <= i < size for i, size in zip(at, sizes)):
+            coef[sum(map(mul, at, o_strides))] = c
+    up = [(sum(map(mul, d, strides)) // 2, sum(d) // 2 % 2)
+          for d in _cube_offsets(l - 1)[1:]]
+    starts = list(_flat(rect, origins[:-1] + ((rect[-1][0],) * 2,)))
+    for t, k in reversed(list(enumerate(starts))):
+        d = [sign * c for c in coef[t * n:t * n + n]]
+        for o, odd in up:
+            step = map(sub, g[k + o:k + o + n], g[k + o + 1:k + o + n + 1])
+            d = map(add if odd else sub, d, step)
+        g[k:k + n] = list(accumulate(reversed([*d]), initial=g[k + n]))[:0:-1]
+
+    # One check per distinct cube, keyed by its vertex gradings less its
+    # first upper vertex's and its coefficient.  A refusal names the first
+    # failing cube in sweep order: every cube before it holds the gradings
+    # a cube-by-cube sweep gives, so that sweep fails there too.
+    cols = [list(chain.from_iterable(g[k + o:k + o + n] for k in starts))
+            for o in (sum(map(mul, d, strides)) // 2
+                      for d in _cube_offsets(l))]
+    keys = list(zip(*[list(map(sub, col, cols[1])) for col in cols], coef))
+    bad = {key for key in set(keys) if not _fits(l, key)}
+    if bad:
+        key_of = dict(zip(box_points(origins), keys))
+        origin = next(o for o in _sweep_order(box_points(origins))
+                      if key_of[o] in bad)
+        key, s = key_of[origin], tuple([x + 2 for x in origin])
+        unique, branches = _cube_rule(l, key[1:-1])
+        if unique:
             raise NotLSpaceLink(
-                f"neither dichotomy branch at {s} matches "
-                f"coefficient {target}")
+                f"forced cube at {s} has Euler characteristic "
+                f"{branches[-1][1]}, need coefficient {key[-1]}")
+        raise NotLSpaceLink(
+            f"neither dichotomy branch at {s} matches "
+            f"coefficient {key[-1]}")
     _verify_bottom_stability(g, box)
     return g
+
+
+def _fits(l: int, key: tuple) -> bool:
+    """Whether a cube's key has the origin the cube rule grades; upper
+    edges other than 0- or 2-steps fail."""
+    try:
+        _, branches = _cube_rule(l, key[1:-1])
+    except ValueError:
+        return False
+    return (key[0], key[-1]) in branches
 
 
 @lru_cache(maxsize=None)
@@ -249,7 +277,7 @@ def _verify_bottom_stability(g, box):
 
 @dataclass(frozen=True)
 class HFLTable:
-    """Corner homology of every unit cube over the box."""
+    """Corner homology of each box point's unit cube, in box point order."""
 
     tgraph: TGraph
     table: dict
@@ -259,23 +287,29 @@ class HFLTable:
         return self.tgraph.box
 
     @cached_property
+    def _mask(self) -> list:
+        """Whether each group is nonzero, in the table's order."""
+        return list(map(bool, map(attrgetter("dims"), self.table.values())))
+
+    @cached_property
     def nonzero(self) -> frozenset:
         """The points whose group is nonzero."""
-        return frozenset(s for s, vs in self.table.items() if not vs.is_zero())
+        return frozenset(compress(self.table, self._mask))
 
     @cached_property
     def blocked(self) -> dict:
         """Each tabulated point where the hat hypothesis fails, mapped to
         its first 0/1 offset eps in ``vertices`` order with a nonzero group
         at s2 + 2 eps.  Other up-neighbours lie beyond the corner (box tops
-        are at least m + 4), so the nonzero points decide it."""
-        out = {}
-        for d in _cube_offsets(self.tgraph.l)[1:]:
-            eps = tuple([x // 2 for x in d])
-            for s in self.nonzero:
-                t = tuple(map(sub, s, d))
-                if t in self.table:
-                    out.setdefault(t, eps)
+        are at least m + 4), so the mask decides it: one window per offset,
+        written last to first so that the first wins."""
+        out, box = {}, self.box
+        for d in reversed(_cube_offsets(self.tgraph.l)[1:]):
+            hits = _window(self._mask, box,
+                           [(lo + e, hi) for (lo, hi), e in zip(box, d)])
+            pts = box_points([(lo, hi - e) for (lo, hi), e in zip(box, d)])
+            out.update(dict.fromkeys(compress(pts, hits),
+                                     tuple([x // 2 for x in d])))
         return out
 
     def entry(self, s2) -> GradedVS:

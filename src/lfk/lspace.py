@@ -138,6 +138,7 @@ class LinkProfile:
         if not autos:
             yield self
             return
+        self.family                     # each assignment derives its own
         for bits in itertools.product((1, -1), repeat=len(autos)):
             yield self.with_signs(dict(zip(autos, bits)))
 

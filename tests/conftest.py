@@ -11,12 +11,14 @@ from lfk.bridge import EvenExpansion, F_poly, TwoBridge
 from lfk.cubes import (CubeLabeling, _corner_from_grading_key, edges,
                        vertex_gradings, vertices)
 from lfk.errors import (HypothesisNotMet, InvalidLabeling, LfkError,
-                        RegionUnstable)
-from lfk.floer import (CrossReport, _stored, _sweep_order, build_tgraph,
+                        NotLSpaceLink, RegionUnstable)
+from lfk.floer import (CrossReport, _cube_offsets, _cube_rule, _stored,
+                       _sweep_order, _verify_bottom_stability, build_tgraph,
                        hfl_minus)
 from lfk.laurent import MultiLaurent, TailPoly, exact_div
-from lfk.lspace import (CorReport, LinkProfile, TheoremReport, _theorem_rows,
-                        box_points, cor_alex2_check, default_box,
+from lfk.lspace import (CorReport, LinkProfile, TheoremReport, _box, _corner,
+                        _flat, _hull, _length, _strides, _theorem_rows,
+                        _window, box_points, cor_alex2_check, default_box,
                         normalized_family, subsets_of, theorem_alex_check,
                         two_bridge_profile, unlink_profile)
 
@@ -274,6 +276,94 @@ def cube_at(tg, s2):
                           for k, (x, e) in enumerate(zip(s2, eps)))
                 lab[(eps, j)] = label_at(tg, p, j)
     return CubeLabeling(tg.l, lab), g_at(tg, tuple(x - 2 for x in s2))
+
+
+# -- the cube-by-cube sweep and the symmetry: second routes to the field -------
+
+
+def sweep_field(fam, s_set, box, margin) -> list:
+    """floer._field as a sweep over the interior cubes, one at a time in
+    floer._sweep_order: each cube's origin is the completion of its other
+    vertices whose Euler characteristic is the coefficient at the cube.
+    Sublink fields are swept the same way; the slab prefill, the knot
+    tails and the refusals are the builder's."""
+    p0 = fam[s_set]
+    rect = _stored(box)
+    if isinstance(p0, TailPoly):
+        (lo, hi), = rect
+        coeffs = p0.coeffs(range(lo, hi + 1, 2))
+        for p, a in zip(range(lo, hi + 1, 2), coeffs):
+            if a not in (0, 1):
+                raise NotLSpaceLink(
+                    f"normalized coefficient {a} at exponent {p}/2; "
+                    "not an L-space knot profile (or wrong sign)")
+        return list(itertools.accumulate([-2 * a for a in coeffs[:0:-1]],
+                                         initial=0))[::-1]
+
+    l = len(box)
+    m2 = _corner(fam, s_set)
+    strides = _strides(map(_length, rect))
+    g = [None] * strides[0] * _length(rect[0])
+    for pos, i in enumerate(j for j in range(1, fam.l + 1) if j not in s_set):
+        sub_box = _hull(_box(fam, s_set | {i}, margin),
+                        rect[:pos] + rect[pos + 1:])
+        sub_g = sweep_field(fam, s_set | {i}, sub_box, margin)
+        heads = tuple((lo, m - 2) for (lo, _), m in zip(rect, m2[:pos]))
+        block = _window(sub_g, _stored(sub_box), heads + rect[pos + 1:])
+        size, run = strides[pos], _length((m2[pos], rect[pos][1]))
+        starts = _flat(rect, heads + ((m2[pos], m2[pos]),)
+                       + tuple((lo, lo) for lo, _ in rect[pos + 1:]))
+        for t, k in enumerate(starts):
+            g[k:k + size * run] = block[t * size:(t + 1) * size] * run
+
+    origins = tuple((lo, m - 2) for (lo, _), m in zip(rect, m2))
+    index = dict(zip(box_points(origins), _flat(rect, origins)))
+    up = [sum(x * st for x, st in zip(d, strides)) // 2
+          for d in _cube_offsets(l)[1:]]
+    coeff_at = p0.shifted((-2,) * l).terms.get
+    for origin in lfk.floer._sweep_order(box_points(origins)):
+        i = index[origin]
+        upper = [g[i + o] for o in up]
+        unique, branches = _cube_rule(l, tuple([x - upper[0] for x in upper]))
+        target = coeff_at(origin, 0)
+        for d0, chi in branches:
+            if chi == target:
+                g[i] = upper[0] + d0
+                break
+        else:
+            s = tuple([x + 2 for x in origin])
+            if unique:
+                raise NotLSpaceLink(
+                    f"forced cube at {s} has Euler characteristic "
+                    f"{chi}, need coefficient {target}")
+            raise NotLSpaceLink(
+                f"neither dichotomy branch at {s} matches "
+                f"coefficient {target}")
+    _verify_bottom_stability(g, box)
+    return g
+
+
+def build_outcome(prof, margin=None, field=None):
+    """The values of build_tgraph, or its refusal's type and text; with a
+    field function, every sublink's field is graded by it instead."""
+    saved = lfk.floer._field
+    if field is not None:
+        lfk.floer._field = field
+    try:
+        return build_tgraph(prof, margin=margin).values
+    except LfkError as err:
+        return type(err).__name__, str(err)
+    finally:
+        lfk.floer._field = saved
+
+
+def symmetry_failures(tg) -> list:
+    """The stored points p, with -p stored as well, where the field breaks
+    the L-space symmetry H(-s) = H(s) + |s|: g(-p) = g(p) - sum(p) in
+    doubled coordinates, with g = -2H."""
+    g = g_of(tg)
+    return [p for p, v in g.items()
+            if (q := tuple([-x for x in p])) in g and g[q] != v - sum(p)]
 
 
 # -- per-point screens: second routes to the theorem and corollary checks ----

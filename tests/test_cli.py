@@ -501,8 +501,9 @@ def test_build_refusal_is_recorded_under_tgraph(monkeypatch):
 
 
 def test_check_builds_one_family_per_assignment(monkeypatch, capsys):
-    # b(20,-3): one for the stored sign, which fails the corollary, and one
-    # for the flipped sign, which both checks read off its profile.
+    # b(20,-3): one for the stored profile, from which the assignment that
+    # fails the corollary and the flipped one, which passes both checks,
+    # are derived.
     builds, build = [], lfk.lspace._build_family
 
     def counting(prof):
@@ -512,7 +513,7 @@ def test_check_builds_one_family_per_assignment(monkeypatch, capsys):
     monkeypatch.setattr(lfk.lspace, "_build_family", counting)
     assert main(["check", "--ab", "20", "-3"]) == 0
     assert json.loads(capsys.readouterr().out)["ok"]
-    assert len(builds) == 2
+    assert len(builds) == 1
 
 
 def test_family_links_cover_reversal_forms():

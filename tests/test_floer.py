@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import random
 import re
@@ -9,12 +10,13 @@ import pytest
 import lfk.floer
 import lfk.lspace
 from conftest import (SWEEP_ORDERS, build3_digests, build3_inputs,
-                      build_digests, corner_table_per_point,
-                      cross_check_per_point, cube_at,
+                      build_digests, build_outcome, corner_table_per_point,
+                      cross_check_per_point, cube_at, cube_gradings,
                       enumerate_valid_labelings, g_of, hat_per_point,
                       knot_one_negated, label_at, labels, lex_order,
-                      random_profile, split_union_with_unknot, sweep_order,
-                      tail_coeff, theorem_sum, unstable_profile)
+                      random_profile, split_union_with_unknot, sweep_field,
+                      sweep_order, symmetry_failures, tail_coeff,
+                      theorem_sum, unstable_profile)
 from lfk.bridge import TwoBridge, signature
 from lfk.cli import all_candidates, family_links
 from lfk.cubes import (GradedVS, _corner_at, _corner_from_grading_key,
@@ -370,8 +372,10 @@ def test_cross_check_vacuous_when_polynomial_vanishes():
 
 def _assert_cube_route(table):
     """The table read off the grading field agrees, at every box point,
-    with corner homology of the unit cube assembled from edge labels."""
+    with corner homology of the unit cube assembled from edge labels, and
+    the field has the L-space symmetry."""
     tg = table.tgraph
+    assert not symmetry_failures(tg)
     for s in box_points(tg.box):
         assert table.entry(s) == corner_homology(*cube_at(tg, s)), s
 
@@ -544,6 +548,80 @@ def test_three_component_builds_match_pinned_digests():
                 "forced cube at (2, 2, 2) has Euler characteristic 0, "
                 f"need coefficient {c}")):
             build_tgraph(prof)
+
+
+def _family_profiles():
+    return [fixed_profile(m.alpha, m.beta) for m in family_links(100)]
+
+
+def test_field_matches_the_cube_sweep():
+    # The row recurrences against the cube-by-cube sweep: the same values,
+    # or the same refusal type and text.  The 106 family builds, the named
+    # three-component inputs and the narrow-box profile at margins 2 and 4,
+    # and 400 random profiles of 2 or 3 components at margins 2 and 3, each
+    # pinned to its stored signs so that a draw is one build; most of those
+    # are refused inside the sweep.
+    cases = [(prof, 2) for prof in _family_profiles()]
+    cases += [(prof, margin) for prof in
+              [prof for _, prof in build3_inputs()] + [unstable_profile()]
+              for margin in (2, 4)]
+    rng = random.Random(24)
+    draws = [next(random_profile(rng, rng.choice((2, 3))).assignments())
+             for _ in range(400)]
+    cases += [(prof, margin) for prof in draws for margin in (2, 3)]
+    outcomes = {}
+    for prof, margin in cases:
+        got = build_outcome(prof, margin)
+        assert got == build_outcome(prof, margin, sweep_field), \
+            (prof.to_json(), margin)
+        kind = got[1].split()[0] if isinstance(got[0], str) else "built"
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert len(cases) == 106 + 38 + 800
+    assert min(outcomes[k] for k in ("built", "forced", "neither", "labels")) \
+        > 1, outcomes
+
+
+def test_fields_are_symmetric():
+    # g(-p) = g(p) - sum(p) wherever p and -p are stored, on the family
+    # builds, both unlinks and the named three-component inputs that build
+    # at margin 2; and a field with one value changed breaks it at exactly
+    # that point and its mirror.
+    profiles = _family_profiles() + [unlink_profile(2), unlink_profile(3)]
+    built = 0
+    for prof in profiles + [prof for _, prof in build3_inputs()]:
+        try:
+            tg = build_tgraph(prof, margin=2)
+        except NotLSpaceLink:
+            continue
+        built += 1
+        assert not symmetry_failures(tg), prof.to_json()
+    assert built == len(profiles) + 15
+    tg = build_tgraph(fixed_profile(20, -3))
+    g = g_of(tg)
+    k, p = next((k, p) for k, p in enumerate(g)
+                if any(p) and tuple(-x for x in p) in g)
+    values = list(tg.values)
+    values[k] += 2
+    bent = dataclasses.replace(tg, values=tuple(values))
+    assert sorted(symmetry_failures(bent)) == sorted(
+        [p, tuple(-x for x in p)])
+
+
+def test_cube_rule_runs_once_per_distinct_cube(monkeypatch):
+    # b(100,-1), the largest family build: its 2809 interior cubes take 4
+    # configurations (vertex gradings less the origin's, and coefficient),
+    # and the builder consults the cube rule, uncached, once for each.
+    calls = []
+    rule = lfk.floer._cube_rule.__wrapped__
+    monkeypatch.setattr(lfk.floer, "_cube_rule",
+                        lambda l, rel: calls.append(rel) or rule(l, rel))
+    tg = build_tgraph(fixed_profile(100, -1))
+    interior = list(box_points([(lo - 2, m)
+                                for (lo, _), m in zip(tg.box, tg.m2)]))
+    p0 = tg.family.p_empty
+    cubes = {(cube_gradings(tg, s)[1], p0.coeff(s)) for s in interior}
+    assert len(calls) == len(cubes) == 4
+    assert len(interior) == 2809
 
 
 def test_memos_match_the_direct_rules():
