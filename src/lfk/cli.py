@@ -237,14 +237,12 @@ def _expansion_from(args):
 
 
 def _int_list(option: str, text: str) -> list[int]:
+    """The integers of a comma-separated option; an empty field is refused."""
     try:
-        values = [int(x) for x in text.split(",") if x.strip()]
+        return [int(x) for x in text.split(",")]
     except ValueError:
-        values = []
-    if not values:
         raise ValueError(f"{option} takes comma-separated integers, "
-                         f"got {text!r}")
-    return values
+                         f"got {text!r}") from None
 
 
 def _reject(reason: str, detail=None) -> int:

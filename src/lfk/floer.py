@@ -1,29 +1,27 @@
 """The lattice grading field and homology tables for up to 3 components.
 
 Each lattice point s carries the even top grading g(s) of its sublevel
-tower, normalized to 0 in the stable region (g = -2H for the H-function of
-an L-space link).  g is the one stored field: the label of the edge into s
-in direction j is read off it as (g(s) - g(s - e_j)) / 2, which is 0 when
-the inclusion of sublevel complexes is an isomorphism and 1 when it drops a
-tower step.  The field is built from the link's normalized family alone,
-once per sublink, all in the link's coordinates:
+tower, normalized to 0 in the stable region.  g is the one stored field:
+the label of the edge into s in direction j is read off it as
+(g(s) - g(s - e_j)) / 2, which is 0 when the inclusion of sublevel
+complexes is an isomorphism and 1 when it drops a tower step.  At the
+link and at every sublink, in the link's coordinates, g is read off the
+H-function of the normalized family: g(p) = -2 H(p + 2 e) for e the
+all-ones vector.  A build checks it in the order a grading would be made:
 
-* on each slab s_i >= m_i beyond the stabilization corner m(L), g repeats
-  the field of the sublink with component i removed, which is built the
-  same way from its own family entry; a single component's field is read
-  off its tail;
-* inside, the cube at s has Euler characteristic, linear in its vertex
-  gradings, the coefficient of the normalized polynomial at s: g is a
-  running sum down each row from the slab, and each distinct cube's
-  origin must be its completion with that Euler characteristic;
+* every sublink's field first; a single component's labels are its tail
+  coefficients, which must be 0 or 1;
+* each cube below the stabilization corner m(L) must be graded at its
+  origin by the completion of its other vertices whose Euler
+  characteristic is the coefficient of the normalized polynomial there,
+  checked once per distinct cube;
 * afterwards the labels one step below the box must repeat.
 
 The construction refuses inputs for which no consistent field exists: such
 inputs cannot be L-space links.  The homology table assigns to each lattice
 point the corner homology of its unit cube.  g is stored flat in
-``box_points`` order and walked by integer strides: the prefill copies runs
-of a sublink's values, a row reads the rows above it, and the check and
-the table read a cube's vertices as one column of row slices per offset.
+``box_points`` order and walked by integer strides: the check and the
+table read a cube's vertices as one column of row slices per offset.
 They answer from memos, keyed by a cube's upper gradings less the first
 (its rules commute with a shift) and by its vertex gradings.  The first
 failing cube in the sweep order, by coordinate sum, names a refusal.  The
@@ -37,15 +35,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, compress, repeat
-from operator import add, attrgetter, mul, sub
+from itertools import chain, compress, repeat
+from operator import attrgetter, mul, sub
 
 from .cubes import (GradedVS, _corner_at, complete_subgraph, euler_char,
                     vertices)
 from .errors import HypothesisNotMet, NotLSpaceLink, RegionUnstable
 from .laurent import MultiLaurent, TailPoly
-from .lspace import (LinkProfile, NormalizedFamily, _box, _corner, _hull,
-                     _flat, _length, _strides, _window, box_points,
+from .lspace import (LinkProfile, NormalizedFamily, _box, _corner, _flat,
+                     _h_values, _hull, _length, _strides, _window, box_points,
                      normalized_family, resolve_margin)
 
 
@@ -134,69 +132,43 @@ def _build_resolved(prof, box, margin) -> TGraph:
 def _field(fam, s_set, box, margin) -> list:
     """g of the sublink L - S over the stored region of its box (the box and
     two steps below it), flat in ``box_points`` order, on the components
-    outside S in the link's coordinates; fam[S] gives the Euler
-    characteristics of its cubes, checked once per distinct cube."""
-    p0 = fam[s_set]
-    rect = _stored(box)
+    outside S in the link's coordinates: g(p) = -2 H(p + 2 (1, ..., 1)).
+    Each sublink's checks run first; then fam[S] gives the Euler
+    characteristics of the cubes, checked once per distinct cube."""
+    p0, rect = fam[s_set], _stored(box)
     if isinstance(p0, TailPoly):
         # One component remains: the label entering p is the tail
-        # coefficient at p, and g is 0 at the top of the box.  The box
-        # reaches below the tail's numerator, where the labels are constant.
+        # coefficient at p, H(p) - H(p + 2).  The box reaches below the
+        # tail's numerator, where the labels are constant.
         (lo, hi), = rect
-        coeffs = p0.coeffs(range(lo, hi + 1, 2))
-        for p, a in zip(range(lo, hi + 1, 2), coeffs):
+        h = _h_values(fam, s_set, ((lo, hi + 2),))
+        for p, a in zip(range(lo, hi + 1, 2), map(sub, h, h[1:])):
             if a not in (0, 1):
                 raise NotLSpaceLink(
                     f"normalized coefficient {a} at exponent {p}/2; "
                     "not an L-space knot profile (or wrong sign)")
-        return list(accumulate([-2 * a for a in coeffs[:0:-1]],
-                               initial=0))[::-1]
+        return [-2 * x for x in h[1:]]
 
-    l = len(box)
-    m2 = _corner(fam, s_set)
-    strides = _strides(map(_length, rect))
-    g = [None] * strides[0] * _length(rect[0])
-    # Stable prefill: on the slab p_i >= m_i the grading is that of the
-    # sublink without component i, read at the same point.  Where slabs i
-    # and j overlap the first is taken: both repeat the field of the
-    # sublink without i and j there.  So at each point below the corner on
-    # the axes before pos, slab pos is one run of the flat values.
     for pos, i in enumerate(j for j in range(1, fam.l + 1) if j not in s_set):
-        sub_box = _hull(_box(fam, s_set | {i}, margin),
-                        rect[:pos] + rect[pos + 1:])
-        sub_g = _field(fam, s_set | {i}, sub_box, margin)
-        heads = tuple((lo, m - 2) for (lo, _), m in zip(rect, m2[:pos]))
-        block = _window(sub_g, _stored(sub_box), heads + rect[pos + 1:])
-        size, run = strides[pos], _length((m2[pos], rect[pos][1]))
-        starts = _flat(rect, heads + ((m2[pos], m2[pos]),)
-                       + tuple((lo, lo) for lo, _ in rect[pos + 1:]))
-        for t, k in enumerate(starts):
-            g[k:k + size * run] = block[t * size:(t + 1) * size] * run
+        _field(fam, s_set | {i}, _hull(_box(fam, s_set | {i}, margin),
+                                       rect[:pos] + rect[pos + 1:]), margin)
+    g = _h_values(fam, s_set, tuple((lo + 2, hi + 2) for lo, hi in rect), -2)
 
-    # Interior rows: the cube at s = o + 2 has its origin o below every slab
-    # and sum_eps (-1)^(l + |eps|) g(o + 2 eps) = 2 c(s), c(s) the
-    # coefficient at s.  So g(o) - g(o + 2 e_l) is 2 (-1)^l c(s) less the
-    # signed differences in the rows at o + 2 eps' (eps' != 0, eps'_l = 0),
-    # which descending flat order fills first: a row is a running sum down
-    # from the slab.  Other cubes lie in a slab, where g is constant along
-    # the slab direction and the coefficient is 0, so their rule holds too.
+    # The cube at s = o + 2 with its origin o below the corner must have
+    # Euler characteristic c(s), the coefficient at s.  Other cubes lie in
+    # a slab, where g is constant along the slab direction and the
+    # coefficient is 0, so their rule holds.
+    l, m2 = len(box), _corner(fam, s_set)
+    strides = _strides(map(_length, rect))
     origins = tuple((lo, m - 2) for (lo, _), m in zip(rect, m2))
     sizes = list(map(_length, origins))
-    o_strides, n, sign = _strides(sizes), sizes[-1], -2 if l % 2 else 2
+    o_strides, n = _strides(sizes), sizes[-1]
     coef = [0] * o_strides[0] * sizes[0]
     for e2, c in p0.terms.items():
         at = [(x - lo) // 2 - 1 for x, (lo, _) in zip(e2, origins)]
         if all(0 <= i < size for i, size in zip(at, sizes)):
             coef[sum(map(mul, at, o_strides))] = c
-    up = [(sum(map(mul, d, strides)) // 2, sum(d) // 2 % 2)
-          for d in _cube_offsets(l - 1)[1:]]
     starts = list(_flat(rect, origins[:-1] + ((rect[-1][0],) * 2,)))
-    for t, k in reversed(list(enumerate(starts))):
-        d = [sign * c for c in coef[t * n:t * n + n]]
-        for o, odd in up:
-            step = map(sub, g[k + o:k + o + n], g[k + o + 1:k + o + n + 1])
-            d = map(add if odd else sub, d, step)
-        g[k:k + n] = list(accumulate(reversed([*d]), initial=g[k + n]))[:0:-1]
 
     # One check per distinct cube, keyed by its vertex gradings less its
     # first upper vertex's and its coefficient.  A refusal names the first

@@ -7,18 +7,15 @@ polynomial per proper sublink-complement, monomially shifted by half linking
 numbers, with a geometric-series tail factor when a single component
 remains.  A profile builds its family once, and with_signs carries it over.
 
-The checkers evaluate, at every lattice point of the default box, the signed
-sums of coefficients that must land in {0, 1} for an L-space link, plus the
-sharper alternating-sign conditions available for two components.  The
-sums are one flat list per direction over the box grown by one step, in
-``box_points`` order and walked by integer strides: each entry's terms are
-bucketed by flat index, a tail is one strided slice, and the running sums
-are whole-block adds on the leading axes and one accumulate per row on the
-last; the theorem check decides by gathering rows at flat indices and
-builds its violations only when read.  The two-component conditions read
-the normalized polynomial's columns and rows as runs of one sort per
-direction, and decide both signs in that one pass: only the leading
-clause depends on the sign.
+The H-function of the sublink L - S is the signed sum, over the entries
+fam[T] with T containing S, of each one's coefficients at the exponents
+above a point; over a lattice rect it is one flat list in ``box_points``
+order, walked by integer strides.  The theorem's signed sums, which must
+land in {0, 1} for an L-space link, are its differences in each
+direction.  The sharper alternating-sign conditions available for two
+components read the normalized polynomial's columns and rows as runs of
+one sort per direction, and decide both signs in that one pass: only the
+leading clause depends on the sign.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ import itertools
 import json
 import operator
 import os
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -334,58 +330,60 @@ def _strides(sizes) -> list:
                                      operator.mul))[::-1]
 
 
-def _theorem_rows(fam: NormalizedFamily, grid) -> list:
-    """The theorem's signed sums over a grid (one sorted list of doubled
-    values per axis): per direction r, one flat list over the grid's points
-    in ``box_points`` order.  A signed entry term goes into the bucket at
-    its exponent in r, the last grid value at or below it elsewhere outside
-    S, and the top of each axis in S; a tail adds its coefficients on r's
-    grid values as one strided slice.  Running sums from the top along
-    every axis but r spread the buckets: whole blocks on the leading axes,
-    one accumulate per row on the last."""
-    l, sizes = fam.l, [len(vals) for vals in grid]
+def _h_values(fam: NormalizedFamily, s_set, rect, scale=1) -> list:
+    """scale times the H-function of the sublink L - S over rect (one
+    doubled range per component outside S, on its coset), flat in
+    ``box_points`` order: the signed suffix sums, along every axis, of each
+    entry fam[T] with T containing S, taken with the sign
+    (-1)^(l - 1 - |T|) and scaled by scale in the buckets.  A term goes into
+    the bucket at the last rect value at or below its exponent on each of
+    the entry's axes, and at the top of each axis in T - S; a tail adds its
+    coefficients as one strided slice, the ones above rect in its top.  The
+    sums run from the top: whole blocks on the leading axes, one accumulate
+    per row on the last."""
+    comps = [j for j in range(1, fam.l + 1) if j not in s_set]
+    sizes = list(map(_length, rect))
     strides = _strides(sizes)
     total, n = strides[0] * sizes[0], sizes[-1]
-    exact = [{x: k for k, x in enumerate(vals)} for vals in grid]
-    out = []
-    for r in range(1, l + 1):
-        flat = [0] * total
-        for s, entry in fam.entries.items():
-            if r in s:
-                continue
-            sign = (-1) ** (l - 1 - len(s))
-            k0 = sum((sizes[j - 1] - 1) * strides[j - 1] for j in s)
-            if isinstance(entry, TailPoly):
-                st = strides[r - 1]
-                cut = slice(k0, k0 + sizes[r - 1] * st, st)
-                flat[cut] = map(operator.add, flat[cut],
-                                [sign * c for c in entry.coeffs(grid[r - 1])])
-                continue
-            comp = [j - 1 for j in range(1, l + 1) if j not in s]
-            for e2, c in entry.terms.items():
-                k = k0
-                for a, x in zip(comp, e2):
-                    i = exact[a].get(x, -1) if a == r - 1 else \
-                        bisect_right(grid[a], x) - 1
-                    if i < 0:           # off the grid in r, or below it
-                        break
-                    k += i * strides[a]
-                else:
-                    flat[k] += sign * c
-        flat.reverse()                  # sums from the top run forward
-        for a in range(l - 1):
-            if a != r - 1:
-                st, block = strides[a], strides[a] * sizes[a]
-                for k in range(st, total, st):
-                    if k % block:       # not the top block of axis a
-                        flat[k:k + st] = map(operator.add, flat[k:k + st],
-                                             flat[k - st:k])
-        if r != l:
-            for k in range(0, total, n):
-                flat[k:k + n] = itertools.accumulate(flat[k:k + n])
-        flat.reverse()
-        out.append(flat)
-    return out
+    flat = [0] * total
+    for t, entry in fam.entries.items():
+        if not s_set <= t:
+            continue
+        sign = scale * (-1) ** (fam.l - 1 - len(t))
+        k0 = sum((sizes[a] - 1) * strides[a]
+                 for a, j in enumerate(comps) if j in t)
+        own = [a for a, j in enumerate(comps) if j not in t]
+        if isinstance(entry, TailPoly):
+            (a,), (lo, hi) = own, rect[own[0]]
+            coeffs = entry.coeffs(range(lo, hi + 1, 2))
+            coeffs[-1] += sum(c * ((y - hi) // 2) for (y,), c
+                              in entry.numer.terms.items() if y > hi)
+            st = strides[a]
+            cut = slice(k0, k0 + sizes[a] * st, st)
+            flat[cut] = map(operator.add, flat[cut],
+                            [sign * c for c in coeffs])
+            continue
+        axes = [(rect[a][0], sizes[a] - 1, strides[a]) for a in own]
+        for e2, c in entry.terms.items():
+            k = k0
+            for x, (lo, top, st) in zip(e2, axes):
+                i = (x - lo) // 2
+                if i < 0:               # below rect: in no suffix sum
+                    break
+                k += min(i, top) * st
+            else:
+                flat[k] += sign * c
+    flat.reverse()                      # sums from the top run forward
+    for a in range(len(rect) - 1):
+        st, block = strides[a], strides[a] * sizes[a]
+        for k in range(st, total, st):
+            if k % block:               # not the top block of axis a
+                flat[k:k + st] = map(operator.add, flat[k:k + st],
+                                     flat[k - st:k])
+    for k in range(0, total, n):
+        flat[k:k + n] = itertools.accumulate(flat[k:k + n])
+    flat.reverse()
+    return flat
 
 
 # -- boxes ----------------------------------------------------------------------
@@ -512,34 +510,37 @@ def theorem_alex_check(prof: LinkProfile,
                        margin: int | None = None) -> TheoremReport:
     """Evaluate the signed coefficient-sum condition over the default box.
 
-    Every lattice point and every direction must give a value of 0 or 1.
-    Values on the box boundary are compared with their outward neighbors;
-    disagreement raises RegionUnstable since the box then failed to capture
-    the stable behavior.  All values come from one _theorem_rows pass over
-    the box grown by one step, on the profile's normalized family; the box
-    and each face are gathered at their flat indices in it.
+    Every lattice point and every direction must give a value of 0 or 1:
+    the sum in direction r at s is H(s) - H(s + 2 e_r), for H the profile's
+    _h_values over the box grown by one step.  Values on each lower face of
+    the box are compared with their outward neighbours; disagreement raises
+    RegionUnstable since the box then failed to capture the stable
+    behavior.  The upper faces need no comparison: the box top lies at
+    least 2 * margin above the corner, where H no longer depends on that
+    coordinate.
     """
     fam = normalized_family(prof)
     box = _box(fam, frozenset(), resolve_margin(margin))
-    # The box and its outward neighbours: both edges of an axis lie on one
-    # coset, so lo - 2 and hi + 2 sit at its ends.
+    # The box grown by one step (both edges of an axis lie on one coset):
+    # lo - 2 holds the outward neighbours, hi + 2 the values the box's top
+    # is differenced against.
     rect = tuple((lo - 2, hi + 2) for lo, hi in box)
-    rows = _theorem_rows(fam, [list(range(lo, hi + 1, 2)) for lo, hi in rect])
+    h = _h_values(fam, frozenset(), rect)
     strides = _strides(map(_length, rect))
-    for axis, (lo, hi) in enumerate(box):
-        for edge, step in ((lo, -1), (hi, 1)):
-            face = box[:axis] + ((edge, edge),) + box[axis + 1:]
-            d, ks = step * strides[axis], list(_flat(rect, face))
-            inner = operator.itemgetter(*ks)
-            outer = operator.itemgetter(*[k + d for k in ks])
-            if all(inner(by_r) == outer(by_r) for by_r in rows):
-                continue        # else name the first point and direction
-            for p, k in zip(box_points(face), ks):
-                for r, by_r in enumerate(rows, start=1):
-                    if by_r[k] != by_r[k + d]:
-                        raise RegionUnstable(
-                            f"value changes stepping outward at {p} "
-                            f"(direction {r}); enlarge the margin")
+    rows = [list(map(operator.sub, h, h[st:])) for st in strides]
+    for axis, (lo, _) in enumerate(box):
+        face = box[:axis] + ((lo, lo),) + box[axis + 1:]
+        ks = list(_flat(rect, face))
+        inner = operator.itemgetter(*ks)
+        outer = operator.itemgetter(*[k - strides[axis] for k in ks])
+        if all(inner(by_r) == outer(by_r) for by_r in rows):
+            continue            # else name the first point and direction
+        for p, k in zip(box_points(face), ks):
+            for r, by_r in enumerate(rows, start=1):
+                if by_r[k] != by_r[k - strides[axis]]:
+                    raise RegionUnstable(
+                        f"value changes stepping outward at {p} "
+                        f"(direction {r}); enlarge the margin")
     # A box has at least five points per axis, so each gather is a tuple.
     values = tuple(map(operator.itemgetter(*_flat(rect, box)), rows))
     return TheoremReport(all(min(v) >= 0 and max(v) <= 1 for v in values),

@@ -17,7 +17,7 @@ from lfk.floer import (CrossReport, _cube_offsets, _cube_rule, _stored,
                        hfl_minus)
 from lfk.laurent import MultiLaurent, TailPoly, exact_div
 from lfk.lspace import (CorReport, LinkProfile, TheoremReport, _box, _corner,
-                        _flat, _hull, _length, _strides, _theorem_rows,
+                        _flat, _h_values, _hull, _length, _strides,
                         _window, box_points, cor_alex2_check, default_box,
                         normalized_family, subsets_of, theorem_alex_check,
                         two_bridge_profile, unlink_profile)
@@ -285,8 +285,8 @@ def sweep_field(fam, s_set, box, margin) -> list:
     """floer._field as a sweep over the interior cubes, one at a time in
     floer._sweep_order: each cube's origin is the completion of its other
     vertices whose Euler characteristic is the coefficient at the cube.
-    Sublink fields are swept the same way; the slab prefill, the knot
-    tails and the refusals are the builder's."""
+    Sublink fields are swept the same way and copied onto the slabs beyond
+    the corner; the knot tails and the refusals are the builder's."""
     p0 = fam[s_set]
     rect = _stored(box)
     if isinstance(p0, TailPoly):
@@ -395,26 +395,58 @@ def r_sum(fam, s_set, point2, r: int) -> int:
     return total
 
 
-def theorem_sum(fam, point2, r: int) -> int:
+def theorem_sum(fam, point2, r: int, s_set=frozenset()) -> int:
     """The alternating sum over admissible S of the signed region sums: the
-    label of the edge entering point2 - 2 * sum_{j != r} e_j in direction r."""
+    label of the edge entering point2 - 2 * sum_{j != r} e_j in direction r.
+    With s_set, the sum of the sublink L - s_set, over the S containing it,
+    in the link's coordinates."""
     l = fam.l
     total = 0
     for s in subsets_of(l, proper=True):
-        if r in s:
+        if r in s or not s_set <= s:
             continue
         total += (-1) ** (l - 1 - len(s)) * r_sum(fam, s, point2, r)
     return total
 
 
-def theorem_field(fam, grid) -> dict:
-    """Every theorem sum over a grid, {(point2, r): value}, as a keyed view
-    of lspace._theorem_rows, which returns one flat list per direction over
-    the grid's points in product (``box_points``) order.  grid holds one
-    sorted list of doubled values per axis."""
-    return {(p, r): v
-            for r, flat in enumerate(_theorem_rows(fam, grid), start=1)
-            for p, v in zip(itertools.product(*grid), flat, strict=True)}
+def h_at(fam, s_set, p) -> int:
+    """The H-function of the sublink L - S at one point p, which has one
+    doubled coordinate per component outside S: over the T containing S,
+    (-1)^(l - 1 - |T|) times the sum of the coefficients of fam[T] at the
+    exponents dominating p, a tail's summed one lattice step at a time up
+    to its numerator's top."""
+    s_set = frozenset(s_set)
+    at = dict(zip([j for j in range(1, fam.l + 1) if j not in s_set], p))
+    total = 0
+    for t, entry in fam.entries.items():
+        if not s_set <= t:
+            continue
+        if isinstance(entry, TailPoly):
+            x0 = at[entry.var]
+            top = max([x0, *(y for (y,) in entry.numer.terms)])
+            value = sum(tail_coeff(entry, x) for x in range(x0, top + 1, 2))
+        else:
+            low = [x for j, x in at.items() if j not in t]
+            value = sum(c for e2, c in entry.terms.items()
+                        if all(x >= y for x, y in zip(e2, low)))
+        total += (-1) ** (fam.l - 1 - len(t)) * value
+    return total
+
+
+def theorem_field(fam, s_set, rect) -> dict:
+    """Every theorem sum of the sublink L - S over a lattice rect (one
+    doubled range per component outside S, on its coset) as an H
+    difference, {(p, r): H(p) - H(p + 2 e_r)} with H from
+    lspace._h_values, for the p with p + 2 e_r in rect."""
+    comps = [j for j in range(1, fam.l + 1) if j not in s_set]
+    h = dict(zip(box_points(rect), _h_values(fam, s_set, rect), strict=True))
+    out = {}
+    for p, v in h.items():
+        for pos, r in enumerate(comps):
+            q = p[:pos] + (p[pos] + 2,) + p[pos + 1:]
+            if q in h:
+                out[(p, r)] = v - h[q]
+    return out
 
 
 def theorem_check_per_point(prof, margin=2):

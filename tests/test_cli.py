@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -305,6 +306,17 @@ def test_bad_integers_name_their_option(capsys):
              "error: --exp takes comma-separated integers, got ''"),
             (["check", "--exp", "()"],
              "error: --exp takes comma-separated integers, got ''"),
+            # so is an empty field, which would otherwise run another input
+            (["alex", "--exp", "1,,1,1"],
+             "error: --exp takes comma-separated integers, got '1,,1,1'"),
+            (["alex", "--exp", "1,1,1,"],
+             "error: --exp takes comma-separated integers, got '1,1,1,'"),
+            (["check", "--exp", "(,2)"],
+             "error: --exp takes comma-separated integers, got ',2'"),
+            (["hfl", "--ab", "8", "-3", "--hat", "0,,0"],
+             "error: --hat takes comma-separated integers, got '0,,0'"),
+            (["hfl", "--ab", "8", "-3", "--hat", "0,0,"],
+             "error: --hat takes comma-separated integers, got '0,0,'"),
             (["tgraph", "--profile", ""], "error: --profile: "),
             (["hfl", "--profile", ""], "error: --profile: ")):
         assert main(argv) == 1, argv
@@ -549,6 +561,14 @@ def test_classify_100_matches_pinned_csv():
     # the order in which the cross-check reports them as well.
     pinned = Path(__file__).parent / "data" / "sweep100.csv"
     assert records_to_csv(classify(100)).encode() == pinned.read_bytes()
+
+
+def test_classify_200_matches_pinned_digest():
+    # The 2269 classes with alpha <= 200, pinned as the sha256 of the CSV.
+    records = classify(200)
+    assert len(records) == 2269
+    assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == (
+        "bca629398d2600a0e4b392bb2397dbca52e1cedf07da75e44801f368607195f1")
 
 
 def test_classify_b12_record():

@@ -555,7 +555,7 @@ def _family_profiles():
 
 
 def test_field_matches_the_cube_sweep():
-    # The row recurrences against the cube-by-cube sweep: the same values,
+    # The H-function field against the cube-by-cube sweep: the same values,
     # or the same refusal type and text.  The 106 family builds, the named
     # three-component inputs and the narrow-box profile at margins 2 and 4,
     # and 400 random profiles of 2 or 3 components at margins 2 and 3, each

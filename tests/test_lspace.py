@@ -6,14 +6,15 @@ from pathlib import Path
 
 import pytest
 
+import lfk.floer
 import lfk.lspace
-from conftest import (cor_check_per_column, r_sum, rand_nonzero,
+from conftest import (cor_check_per_column, h_at, r_sum, rand_nonzero,
                       random_profile, screen_digests, split_union_with_unknot,
                       sub_profile, tail_coeff, theorem_check_per_point,
                       theorem_field, theorem_sum, unstable_profile)
 from lfk.bridge import TwoBridge
 from lfk.cli import family_links
-from lfk.errors import CosetViolation, RegionUnstable
+from lfk.errors import CosetViolation, LfkError, RegionUnstable
 from lfk.floer import build_tgraph
 from lfk.laurent import MultiLaurent, TailPoly
 from lfk.lspace import (LinkProfile, box_points, cor_alex2_check, default_box,
@@ -128,29 +129,84 @@ def _two_bridge_pairs(max_alpha):
                 yield alpha, beta
 
 
-def test_theorem_field_matches_pointwise_sums():
-    cases = [(unknot_profile(), None), (unlink_profile(2), None),
-             (unlink_profile(3), None),
-             (split_union_with_unknot(b20_profile()), None)]
-    cases += [(b20_profile(), box) for box in
+def test_h_values_match_pointwise_oracle():
+    # Every sublink level of 1-3-component draws, tails included, over
+    # lattice rects that cut through the entries' terms as well as ones
+    # around them: terms below a rect drop out, the ones above it and a
+    # tail's coefficients above it sum into its top.  The field's scale
+    # of -2 goes into the buckets.
+    rng = random.Random(25)
+    for l in (1, 2, 3) * 40:
+        prof = random_profile(rng, l)
+        fam = normalized_family(prof)
+        for s_set in subsets_of(l, proper=True):
+            for _ in range(3):
+                rect = []
+                for j in range(1, l + 1):
+                    if j not in s_set:
+                        lo = 2 * rng.randint(-6, 3) + prof.coset_parity(j)
+                        rect.append((lo, lo + 2 * rng.randint(0, 6)))
+                values = lfk.lspace._h_values(fam, s_set, tuple(rect))
+                pts = list(box_points(rect))
+                assert len(values) == len(pts)
+                assert lfk.lspace._h_values(fam, s_set, tuple(rect), -2) \
+                    == [-2 * v for v in values]
+                for p, v in zip(pts, values):
+                    assert v == h_at(fam, s_set, p), (prof.to_json(), s_set, p)
+
+
+def test_theorem_field_matches_pointwise_sums(monkeypatch):
+    # The rects _h_values is read over: the theorem check's box grown by
+    # one step, and at every sublink level the builder's stored region one
+    # step up (a knot tail's reaches one step higher).  Each H difference
+    # there is the theorem sum of that sublink.
+    seen, h_values = [], lfk.lspace._h_values
+
+    def recording(fam, s_set, rect, scale=1):
+        seen.append((fam, s_set, rect))
+        return h_values(fam, s_set, rect, scale)
+
+    monkeypatch.setattr(lfk.lspace, "_h_values", recording)
+    monkeypatch.setattr(lfk.floer, "_h_values", recording)
+    cases = [(unknot_profile(), {}), (unlink_profile(2), {}),
+             (unlink_profile(3), {}),
+             (split_union_with_unknot(b20_profile()), {})]
+    # explicit boxes are widened to the lattice and the default box
+    cases += [(b20_profile(), {"box": box}) for box in
               (((-8, 9), (-8, 8)), ((-8, 3), (-8, 8)), ((-8, 8), (8, 8)))]
     for alpha, beta in _two_bridge_pairs(30):
         prof = two_bridge_profile(TwoBridge(alpha, beta))
-        cases += [(prof.with_signs({prof.full(): s}), None) for s in (1, -1)]
+        cases += [(prof.with_signs({prof.full(): s}), {}) for s in (1, -1)]
     # Fields with many nonzero values at l = 3 exercise every stride.
     rng = random.Random(12)
-    cases += [(prof, default_box(prof, margin))
+    cases += [(prof, {"margin": margin})
               for prof in [random_profile(rng, l) for l in (2, 3) * 2]
               for margin in (2, 3)]
-    for prof, box in cases:
-        fam = normalized_family(prof)
-        # the grid the check reads: box, outward neighbours, upper edge
-        grid = [sorted({lo - 2, *range(lo, hi + 1, 2), hi, hi + 2})
-                for lo, hi in box or default_box(prof)]
-        values = theorem_field(fam, grid)
-        assert len(values) == math.prod(map(len, grid)) * prof.l
-        for (p, r), v in values.items():
-            assert v == theorem_sum(fam, p, r), (prof.to_json(), p, r)
+    levels = set()
+    for prof, kw in cases:
+        seen.clear()
+        runs = [build_tgraph] if "box" in kw else [theorem_alex_check,
+                                                   build_tgraph]
+        for run in runs:
+            try:
+                run(prof, **kw)
+            except LfkError:
+                pass
+        assert seen, prof.to_json()
+        for fam, s_set, rect in seen:
+            levels.add(len(s_set))
+            comps = [j for j in range(1, prof.l + 1) if j not in s_set]
+            values = theorem_field(fam, s_set, rect)
+            sizes = [(hi - lo) // 2 + 1 for lo, hi in rect]
+            assert len(values) == sum(math.prod(sizes) // n * (n - 1)
+                                      for n in sizes)
+            point2 = [0] * prof.l
+            for (p, r), v in values.items():
+                for j, x in zip(comps, p):
+                    point2[j - 1] = x
+                assert v == theorem_sum(fam, point2, r, s_set), \
+                    (prof.to_json(), s_set, p, r)
+    assert levels == {0, 1, 2}
 
 
 def test_theorem_check_screening_matches_reference():
