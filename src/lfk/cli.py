@@ -22,8 +22,9 @@ from .cubes import (CubeLabeling, check_dimension, corner_homology,
                     oracle_corner_homology)
 from .errors import LfkError
 from .floer import alternating_cross_check, build_tgraph, hfl_hat, hfl_minus
-from .lspace import (LinkProfile, cor_alex2_check, normalized_family,
-                     resolve_margin, theorem_alex_check, two_bridge_profile)
+from .lspace import (LinkProfile, ascii_int, cor_alex2_check,
+                     normalized_family, resolve_margin, theorem_alex_check,
+                     two_bridge_profile)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -213,7 +214,8 @@ def _profile_from_args(args) -> LinkProfile:
 
 def _add_link_args(sub, profile_ok=True):
     inputs = sub.add_mutually_exclusive_group()
-    inputs.add_argument("--ab", nargs=2, type=int, metavar=("ALPHA", "BETA"),
+    inputs.add_argument("--ab", nargs=2, type=_int_arg,
+                        metavar=("ALPHA", "BETA"),
                         help="two-bridge link b(ALPHA, BETA)")
     inputs.add_argument("--exp", type=str, default=None,
                         help="interleaved expansion p1,q1,p2,...,pn")
@@ -236,10 +238,21 @@ def _expansion_from(args):
                      + (" or --profile" if "profile" in args else ""))
 
 
-def _int_list(option: str, text: str) -> list[int]:
-    """The integers of a comma-separated option; an empty field is refused."""
+def _int_arg(text: str) -> int:
+    """An integer option's value, an optionally signed ASCII decimal;
+    argparse names the option when it is refused."""
     try:
-        return [int(x) for x in text.split(",")]
+        return ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+
+
+def _int_list(option: str, text: str) -> list[int]:
+    """The integers, optionally signed ASCII decimals, of a comma-separated
+    option; an empty field is refused."""
+    try:
+        return [ascii_int(x) for x in text.split(",")]
     except ValueError:
         raise ValueError(f"{option} takes comma-separated integers, "
                          f"got {text!r}") from None
@@ -334,12 +347,12 @@ def _parse_cube_labels(n: int, text: str) -> CubeLabeling:
         edge, _, val = part.strip().partition(":")
         src, _, dst = edge.partition("->")
         try:
-            v = tuple(int(ch) for ch in src.strip())
-            w = tuple(int(ch) for ch in dst.strip())
+            v = tuple(map(ascii_int, src.strip()))
+            w = tuple(map(ascii_int, dst.strip()))
             diffs = [k for k, (x, y) in enumerate(zip(v, w)) if x != y]
             if len(v) != n or len(w) != n or len(diffs) != 1 or v[diffs[0]]:
                 raise ValueError
-            labels[(v, diffs[0] + 1)] = int(val)
+            labels[(v, diffs[0] + 1)] = ascii_int(val.strip())
         except ValueError:
             raise ValueError(f"bad edge {part!r}") from None
     return CubeLabeling(n, labels)
@@ -375,34 +388,34 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the coefficient obstructions")
     _add_link_args(p)
-    p.add_argument("--margin", type=int, default=None)
+    p.add_argument("--margin", type=_int_arg, default=None)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("tgraph", help="build the labeled lattice graph")
     _add_link_args(p)
-    p.add_argument("--margin", type=int, default=None)
+    p.add_argument("--margin", type=_int_arg, default=None)
     p.set_defaults(fn=_cmd_tgraph)
 
     p = sub.add_parser("hfl", help="tabulate corner homology over the box")
     _add_link_args(p)
-    p.add_argument("--margin", type=int, default=None)
+    p.add_argument("--margin", type=_int_arg, default=None)
     p.add_argument("--hat", type=str, default=None,
                    help="doubled lattice point for a hat-flavor query")
     p.set_defaults(fn=_cmd_hfl)
 
     p = sub.add_parser("cube", help="corner homology of one labeled cube")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--labels", type=str, required=True,
                    help='all0, all1, or "00->10:1,00->01:0,..."')
-    p.add_argument("--origin", type=int, default=0)
+    p.add_argument("--origin", type=_int_arg, default=0)
     p.add_argument("--oracle", action="store_true",
                    help="use the truncated free-realization route")
     p.set_defaults(fn=_cmd_cube)
 
     p = sub.add_parser("classify", help="two-bridge classification sweep")
-    p.add_argument("--max-alpha", type=int, required=True)
+    p.add_argument("--max-alpha", type=_int_arg, required=True)
     p.add_argument("--out", type=str, default=None, help="CSV output path")
-    p.add_argument("--margin", type=int, default=None)
+    p.add_argument("--margin", type=_int_arg, default=None)
     p.set_defaults(fn=_cmd_classify)
     return parser
 

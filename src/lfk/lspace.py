@@ -16,16 +16,26 @@ direction.  The sharper alternating-sign conditions available for two
 components read the normalized polynomial's columns and rows as runs of
 one sort per direction, and decide both signs in that one pass: only the
 leading clause depends on the sign.
+
+Index work that does not read the coefficients is done once.  A level's
+corner and default box read only which entries vanish and their extreme
+exponents, so they are computed once per unsigned profile and memoized on
+its family, which shares the memo with every family with_signs derives.
+The strides, each entry's base offset and own axes in the H-function, and
+the theorem check's face and box gathers depend on a rect's per-axis
+lengths alone, so they are built once per shape, in bounded memos.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 import os
+import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache, wraps
 
 from .bridge import (TwoBridge, alexander, even_expansion, linking_number)
 from .errors import CosetViolation, RegionUnstable
@@ -159,7 +169,8 @@ class LinkProfile:
         out = object.__new__(LinkProfile)
         out.__dict__.update(vars(self), delta=delta, signs=signs)
         if entries is not None:
-            out.__dict__["family"] = NormalizedFamily(self.l, entries)
+            out.__dict__["family"] = NormalizedFamily(
+                self.l, entries, self.family.geometry)
         return out
 
     # -- JSON -----------------------------------------------------------------
@@ -260,10 +271,14 @@ def two_bridge_profile(link_or_expansion) -> LinkProfile:
 class NormalizedFamily:
     """Map from each proper subset S to the normalized polynomial of the
     complementary sublink: a MultiLaurent when at least two components
-    remain, a TailPoly when exactly one does."""
+    remain, a TailPoly when exactly one does.  geometry memoizes each
+    level's corner and default box; the families with_signs derives share
+    it, since negating entries keeps which vanish and their extreme
+    exponents, all that those read."""
 
     l: int
     entries: dict
+    geometry: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __getitem__(self, s):
         return self.entries[frozenset(s)]
@@ -330,6 +345,25 @@ def _strides(sizes) -> list:
                                      operator.mul))[::-1]
 
 
+@lru_cache(maxsize=256)
+def _h_plan(l: int, s_set, sizes: tuple) -> tuple:
+    """The shape-only part of _h_values at the level S of an l-component
+    link over a rect of the given per-axis lengths: the strides, and per
+    entry fam[T] with T containing S its sign, its base offset (the top of
+    each axis in T - S) and its own axes as (axis, top index, stride)."""
+    comps = [j for j in range(1, l + 1) if j not in s_set]
+    strides = _strides(sizes)
+    plan = []
+    for t in subsets_of(l, proper=True):
+        if s_set <= t:
+            k0 = sum((size - 1) * st for j, size, st
+                     in zip(comps, sizes, strides) if j in t)
+            own = tuple((a, sizes[a] - 1, strides[a])
+                        for a, j in enumerate(comps) if j not in t)
+            plan.append((t, (-1) ** (l - 1 - len(t)), k0, own))
+    return strides, tuple(plan)
+
+
 def _h_values(fam: NormalizedFamily, s_set, rect, scale=1) -> list:
     """scale times the H-function of the sublink L - S over rect (one
     doubled range per component outside S, on its coset), flat in
@@ -339,49 +373,46 @@ def _h_values(fam: NormalizedFamily, s_set, rect, scale=1) -> list:
     the bucket at the last rect value at or below its exponent on each of
     the entry's axes, and at the top of each axis in T - S; a tail adds its
     coefficients as one strided slice, the ones above rect in its top.  The
-    sums run from the top: whole blocks on the leading axes, one accumulate
-    per row on the last."""
-    comps = [j for j in range(1, fam.l + 1) if j not in s_set]
-    sizes = list(map(_length, rect))
-    strides = _strides(sizes)
+    sums run from the top: whole planes of the last two axes along the
+    leading one, then row by row in each plane, a row's accumulate plus
+    the row before it.  The offsets come from the rect's shape alone (_h_plan);
+    only the buckets read its position."""
+    sizes = tuple(map(_length, rect))
+    strides, plan = _h_plan(fam.l, s_set, sizes)
     total, n = strides[0] * sizes[0], sizes[-1]
     flat = [0] * total
-    for t, entry in fam.entries.items():
-        if not s_set <= t:
-            continue
-        sign = scale * (-1) ** (fam.l - 1 - len(t))
-        k0 = sum((sizes[a] - 1) * strides[a]
-                 for a, j in enumerate(comps) if j in t)
-        own = [a for a, j in enumerate(comps) if j not in t]
+    for t, sign, k0, own in plan:
+        entry, sign = fam.entries[t], sign * scale
         if isinstance(entry, TailPoly):
-            (a,), (lo, hi) = own, rect[own[0]]
+            (a, top, st), = own
+            lo, hi = rect[a]
             coeffs = entry.coeffs(range(lo, hi + 1, 2))
             coeffs[-1] += sum(c * ((y - hi) // 2) for (y,), c
                               in entry.numer.terms.items() if y > hi)
-            st = strides[a]
-            cut = slice(k0, k0 + sizes[a] * st, st)
+            cut = slice(k0, k0 + (top + 1) * st, st)
             flat[cut] = map(operator.add, flat[cut],
                             [sign * c for c in coeffs])
             continue
-        axes = [(rect[a][0], sizes[a] - 1, strides[a]) for a in own]
+        axes = [(rect[a][0], top, st) for a, top, st in own]
         for e2, c in entry.terms.items():
             k = k0
             for x, (lo, top, st) in zip(e2, axes):
                 i = (x - lo) // 2
                 if i < 0:               # below rect: in no suffix sum
                     break
-                k += min(i, top) * st
+                k += (i if i < top else top) * st
             else:
                 flat[k] += sign * c
     flat.reverse()                      # sums from the top run forward
-    for a in range(len(rect) - 1):
-        st, block = strides[a], strides[a] * sizes[a]
-        for k in range(st, total, st):
-            if k % block:               # not the top block of axis a
-                flat[k:k + st] = map(operator.add, flat[k:k + st],
-                                     flat[k - st:k])
-    for k in range(0, total, n):
-        flat[k:k + n] = itertools.accumulate(flat[k:k + n])
+    plane = math.prod(sizes[-2:])       # at most one axis leads (l <= 3)
+    for k in range(plane, total, plane):
+        flat[k:k + plane] = map(operator.add, flat[k:k + plane],
+                                flat[k - plane:k])
+    for base in range(0, total, plane):
+        row = [0] * n
+        for k in range(base, base + plane, n):
+            flat[k:k + n] = row = list(map(
+                operator.add, row, itertools.accumulate(flat[k:k + n])))
     flat.reverse()
     return flat
 
@@ -399,6 +430,22 @@ def m_vector(prof: LinkProfile) -> tuple[int, ...]:
     return _corner(normalized_family(prof), frozenset())
 
 
+def _sign_free(fn):
+    """fn(fam, *args) memoized on fam.geometry, which a family shares with
+    the ones with_signs derives from it: fn may read only which entries
+    vanish and their extreme exponents.  A miss calls ``__wrapped__``,
+    looked up at that call."""
+    @wraps(fn)
+    def memo(fam, *args):
+        key = (fn.__name__, *args)
+        out = fam.geometry.get(key)
+        if out is None:
+            out = fam.geometry[key] = memo.__wrapped__(fam, *args)
+        return out
+    return memo
+
+
+@_sign_free
 def _corner(fam: NormalizedFamily, s) -> tuple[int, ...]:
     """The corner of the sublink L - S in the link's coordinates, one entry
     per component outside S: coordinate i is the top u_i exponent over the
@@ -423,15 +470,26 @@ def _corner(fam: NormalizedFamily, s) -> tuple[int, ...]:
     return tuple(out)
 
 
+def ascii_int(text: str, *, signed: bool = True) -> int:
+    """The integer an ASCII decimal names, with an optional leading sign
+    when signed: no spaces, underscores or other scripts' digits, which
+    int() would take.  Anything else raises ValueError."""
+    if not re.fullmatch("[+-]?[0-9]+" if signed else "[0-9]+", text):
+        raise ValueError(f"not an ASCII decimal integer: {text!r}")
+    return int(text)
+
+
 def resolve_margin(margin: int | None = None) -> int:
     """The box margin: the given value, else the environment variable
     LFK_MARGIN (ASCII decimal digits only), else 2.  It must be an integer
     of at least 2; a float or a boolean is refused, not read as one."""
     if margin is None:
         text = os.environ.get("LFK_MARGIN", "2")
-        if not (text.isascii() and text.isdigit()):
-            raise ValueError(f"LFK_MARGIN must be an integer, got {text!r}")
-        margin = int(text)
+        try:
+            margin = ascii_int(text, signed=False)
+        except ValueError:
+            raise ValueError(
+                f"LFK_MARGIN must be an integer, got {text!r}") from None
     else:
         try:
             margin = json_int(margin)
@@ -448,6 +506,7 @@ def default_box(prof: LinkProfile, margin: int | None = None):
     return _box(normalized_family(prof), frozenset(), resolve_margin(margin))
 
 
+@_sign_free
 def _box(fam: NormalizedFamily, s, margin: int):
     """The default box of the sublink L - S in the link's coordinates, one
     range per component outside S."""
@@ -506,6 +565,25 @@ class TheoremReport:
                                for p, r, v in self.violations]}
 
 
+@lru_cache(maxsize=64)
+def _check_gathers(sizes: tuple) -> tuple:
+    """The gathers theorem_alex_check makes from the flat values over a
+    rect of the given per-axis lengths, all in ``box_points`` order: the
+    strides; per axis, the lower face of the interior (the rect less one
+    step on every side) and its outward neighbours; and the interior.  An
+    interior has at least five points per axis, so its gather makes a
+    tuple."""
+    rect = tuple((0, 2 * size - 2) for size in sizes)
+    inner = tuple((2, hi - 2) for _, hi in rect)
+    strides = _strides(sizes)
+    faces = []
+    for axis, st in enumerate(strides):
+        ks = list(_flat(rect, inner[:axis] + ((2, 2),) + inner[axis + 1:]))
+        faces.append((operator.itemgetter(*ks),
+                      operator.itemgetter(*[k - st for k in ks])))
+    return strides, tuple(faces), operator.itemgetter(*_flat(rect, inner))
+
+
 def theorem_alex_check(prof: LinkProfile,
                        margin: int | None = None) -> TheoremReport:
     """Evaluate the signed coefficient-sum condition over the default box.
@@ -526,23 +604,19 @@ def theorem_alex_check(prof: LinkProfile,
     # is differenced against.
     rect = tuple((lo - 2, hi + 2) for lo, hi in box)
     h = _h_values(fam, frozenset(), rect)
-    strides = _strides(map(_length, rect))
+    strides, faces, interior = _check_gathers(tuple(map(_length, rect)))
     rows = [list(map(operator.sub, h, h[st:])) for st in strides]
-    for axis, (lo, _) in enumerate(box):
-        face = box[:axis] + ((lo, lo),) + box[axis + 1:]
-        ks = list(_flat(rect, face))
-        inner = operator.itemgetter(*ks)
-        outer = operator.itemgetter(*[k - strides[axis] for k in ks])
+    for axis, (inner, outer) in enumerate(faces):
         if all(inner(by_r) == outer(by_r) for by_r in rows):
             continue            # else name the first point and direction
-        for p, k in zip(box_points(face), ks):
+        face = box[:axis] + ((box[axis][0],) * 2,) + box[axis + 1:]
+        for p, k in zip(box_points(face), _flat(rect, face)):
             for r, by_r in enumerate(rows, start=1):
                 if by_r[k] != by_r[k - strides[axis]]:
                     raise RegionUnstable(
                         f"value changes stepping outward at {p} "
                         f"(direction {r}); enlarge the margin")
-    # A box has at least five points per axis, so each gather is a tuple.
-    values = tuple(map(operator.itemgetter(*_flat(rect, box)), rows))
+    values = tuple(map(interior, rows))
     return TheoremReport(all(min(v) >= 0 and max(v) <= 1 for v in values),
                          tuple(box), values)
 

@@ -318,7 +318,32 @@ def test_bad_integers_name_their_option(capsys):
             (["hfl", "--ab", "8", "-3", "--hat", "0,0,"],
              "error: --hat takes comma-separated integers, got '0,0,'"),
             (["tgraph", "--profile", ""], "error: --profile: "),
-            (["hfl", "--profile", ""], "error: --profile: ")):
+            (["hfl", "--profile", ""], "error: --profile: "),
+            # every integer is an optionally signed ASCII decimal: no
+            # underscores, spaces or other scripts' digits, which int()
+            # would read as another input
+            (["alex", "--exp", "1_1,1,1"],
+             "error: --exp takes comma-separated integers, got '1_1,1,1'"),
+            (["alex", "--exp", "\u0661,1,1"],
+             "error: --exp takes comma-separated integers, got '\u0661,1,1'"),
+            (["hfl", "--ab", "20", "-3", "--hat", "4, 4"],
+             "error: --hat takes comma-separated integers, got '4, 4'"),
+            (["check", "--ab", "2_0", "-3"],
+             "error: argument --ab: invalid int value: '2_0'"),
+            (["alex", "--ab", "\u0662\u0660", "-3"],
+             "error: argument --ab: invalid int value: '\u0662\u0660'"),
+            (["classify", "--max-alpha", "1_0"],
+             "error: argument --max-alpha: invalid int value: '1_0'"),
+            (["check", "--ab", "20", "-3", "--margin", "\u0663"],
+             "error: argument --margin: invalid int value: '\u0663'"),
+            (["tgraph", "--ab", "20", "-3", "--margin", " 3"],
+             "error: argument --margin: invalid int value: ' 3'"),
+            (["cube", "--n", "2", "--origin", "1_0", "--labels", "all1"],
+             "error: argument --origin: invalid int value: '1_0'"),
+            (["cube", "--n", "2", "--labels", "00->10:\u0661"],
+             "error: bad edge '00->10:\u0661'"),
+            (["cube", "--n", "2", "--labels", "0\u0660->1\u0660:1"],
+             "error: bad edge '0\u0660->1\u0660:1'")):
         assert main(argv) == 1, argv
         captured = capsys.readouterr()
         assert why in captured.err and captured.out == "", argv

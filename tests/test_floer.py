@@ -1,3 +1,4 @@
+import collections
 import csv
 import dataclasses
 import math
@@ -22,7 +23,8 @@ from lfk.cli import all_candidates, family_links
 from lfk.cubes import (GradedVS, _corner_at, _corner_from_grading_key,
                        complete_subgraph, corner_homology, euler_char,
                        vertex_gradings)
-from lfk.errors import HypothesisNotMet, NotLSpaceLink, RegionUnstable
+from lfk.errors import (HypothesisNotMet, LfkError, NotLSpaceLink,
+                        RegionUnstable)
 from lfk.floer import (HFLTable, _cube_rule, _stored,
                        alternating_cross_check, build_tgraph, hfl_hat,
                        hfl_minus)
@@ -145,6 +147,42 @@ def test_one_family_per_build(monkeypatch):
         calls.clear()
         build_tgraph(prof)
         assert len(calls) == 1, prof.to_json()
+
+
+def test_auto_builds_compute_each_level_geometry_once(monkeypatch):
+    # A corner and a default box read only which entries vanish and their
+    # extreme exponents, which a sign flip keeps: every sign assignment an
+    # all-"auto" build tries shares them with its parent, so each level's
+    # corner is computed once per profile and its box once per margin, and
+    # each equals a fresh computation on every assignment's own family.
+    calls, compute = collections.Counter(), {}
+    for name in ("_corner", "_box"):
+        memo = getattr(lfk.lspace, name)
+        compute[name] = memo.__wrapped__
+
+        def counting(fam, *args, name=name):
+            calls[(name, *args)] += 1
+            return compute[name](fam, *args)
+
+        monkeypatch.setattr(memo, "__wrapped__", counting)
+    rng = random.Random(41)
+    for l in (2, 3) * 10:
+        prof = random_profile(rng, l)
+        calls.clear()
+        for margin in (2, 3):
+            try:
+                build_tgraph(prof, margin=margin)
+            except LfkError:
+                pass
+        assert max(calls.values()) == 1, (prof.to_json(), calls)
+        geometry = prof.family.geometry
+        assert geometry.keys() == calls.keys()
+        for candidate in prof.assignments():
+            assert candidate.family.geometry is geometry
+            own = lfk.lspace._build_family(candidate)
+            for (name, *args), value in geometry.items():
+                assert getattr(lfk.lspace, name)(own, *args) == value, \
+                    (prof.to_json(), name, args)
 
 
 def test_corner_tables_only_compare_several_builds(monkeypatch):

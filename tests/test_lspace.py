@@ -129,6 +129,25 @@ def _two_bridge_pairs(max_alpha):
                 yield alpha, beta
 
 
+def _same_shape_pairs():
+    """Back-to-back draws of 2 and 3 components with a margin from 2 to 5,
+    one pair per count and margin, whose default boxes have equal per-axis
+    lengths but lie elsewhere and on another coset in some direction: index
+    work memoized by a box's shape serves both, and one keyed on too little
+    gives the second the first's values."""
+    rng, first, pairs = random.Random(7), {}, {}
+    while len(pairs) < 8:
+        prof = random_profile(rng, rng.choice((2, 3)))
+        for margin in (2, 3, 4, 5):
+            box = default_box(prof, margin)
+            key = (prof.l, margin, tuple(hi - lo for lo, hi in box))
+            other = first.setdefault(key, (prof, box))
+            if any((a - b) % 2 for (a, _), (b, _) in zip(box, other[1])):
+                pairs.setdefault(key[:2], [(other[0], margin),
+                                           (prof, margin)])
+    return [case for key in sorted(pairs) for case in pairs[key]]
+
+
 def test_h_values_match_pointwise_oracle():
     # Every sublink level of 1-3-component draws, tails included, over
     # lattice rects that cut through the entries' terms as well as ones
@@ -153,6 +172,15 @@ def test_h_values_match_pointwise_oracle():
                     == [-2 * v for v in values]
                 for p, v in zip(pts, values):
                     assert v == h_at(fam, s_set, p), (prof.to_json(), s_set, p)
+    # Each level's default box over the same-shape pairs, whose full
+    # levels' boxes have equal lengths within a pair.
+    for prof, margin in _same_shape_pairs():
+        fam = normalized_family(prof)
+        for s_set in subsets_of(prof.l, proper=True):
+            rect = lfk.lspace._box(fam, s_set, margin)
+            values = lfk.lspace._h_values(fam, s_set, rect)
+            for p, v in zip(box_points(rect), values, strict=True):
+                assert v == h_at(fam, s_set, p), (prof.to_json(), s_set, p)
 
 
 def test_theorem_field_matches_pointwise_sums(monkeypatch):
@@ -270,6 +298,8 @@ def test_theorem_check_matches_per_point_route():
     cases += [(prof, {"margin": margin})
               for prof in [random_profile(rng, l) for l in (2, 3) * 3]
               for margin in (2, 3)]
+    cases += [(prof, {"margin": margin})
+              for prof, margin in _same_shape_pairs()]
     for prof, kw in cases:
         kw.setdefault("margin", 2)
         assert _outcome(theorem_alex_check, prof, **kw) == \
