@@ -30,7 +30,8 @@ class MultiLaurent:
     Negation, nonzero int scaling and shifted skip the constructor's
     validation (through _trusted): they map a valid operand's terms one to
     one, move every exponent of a variable by one integer, and make no
-    coefficient zero, so the result is valid.
+    coefficient zero, so the result is valid.  So does a product, whose
+    exponent sums keep one coset per variable and whose zero sums drop.
     """
 
     __slots__ = ("nvars", "terms")
@@ -145,7 +146,7 @@ class MultiLaurent:
                     out[key] = s
                 else:
                     out.pop(key, None)
-        return MultiLaurent(self.nvars, out)
+        return MultiLaurent._trusted(self.nvars, out)
 
     __rmul__ = __mul__
 

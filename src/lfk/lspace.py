@@ -12,15 +12,17 @@ fam[T] with T containing S, of each one's coefficients at the exponents
 above a point; over a lattice rect it is one flat list in ``box_points``
 order, walked by integer strides.  The theorem's signed sums, which must
 land in {0, 1} for an L-space link, are its differences in each
-direction.  The sharper alternating-sign conditions available for two
-components read the normalized polynomial's columns and rows as runs of
-one sort per direction, and decide both signs in that one pass: only the
-leading clause depends on the sign.
+direction.  For two components the normalized polynomial's columns and
+rows, read as runs of one sort per direction, decide the theorem from
+their partial sums and the tail coefficients, the sums at every point
+being computed only when read, and the sharper alternating-sign
+conditions under both signs in one pass: only their leading clause
+depends on the sign.
 
 Index work that does not read the coefficients is done once.  A level's
-corner and default box read only which entries vanish and their extreme
-exponents, so they are computed once per unsigned profile and memoized on
-its family, which shares the memo with every family with_signs derives.
+corner and default box, and the runs, read only the entries' exponents,
+so they are computed once per unsigned profile and memoized on its
+family, which shares the memo with every family with_signs derives.
 The strides, each entry's base offset and own axes in the H-function, and
 the theorem check's face and box gathers depend on a rect's per-axis
 lengths alone, so they are built once per shape, in bounded memos.
@@ -35,7 +37,7 @@ import operator
 import os
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, lru_cache, partial, wraps
 
 from .bridge import (TwoBridge, alexander, even_expansion, linking_number)
 from .errors import CosetViolation, RegionUnstable
@@ -272,9 +274,9 @@ class NormalizedFamily:
     """Map from each proper subset S to the normalized polynomial of the
     complementary sublink: a MultiLaurent when at least two components
     remain, a TailPoly when exactly one does.  geometry memoizes each
-    level's corner and default box; the families with_signs derives share
-    it, since negating entries keeps which vanish and their extreme
-    exponents, all that those read."""
+    level's corner and default box, and P_empty's runs for two components;
+    the families with_signs derives share it, since negating entries keeps
+    their exponents, all that those read."""
 
     l: int
     entries: dict
@@ -432,8 +434,8 @@ def m_vector(prof: LinkProfile) -> tuple[int, ...]:
 
 def _sign_free(fn):
     """fn(fam, *args) memoized on fam.geometry, which a family shares with
-    the ones with_signs derives from it: fn may read only which entries
-    vanish and their extreme exponents.  A miss calls ``__wrapped__``,
+    the ones with_signs derives from it: fn may read only the entries'
+    exponents, which negation keeps.  A miss calls ``__wrapped__``,
     looked up at that call."""
     @wraps(fn)
     def memo(fam, *args):
@@ -527,6 +529,18 @@ def _box(fam: NormalizedFamily, s, margin: int):
     return tuple(box)
 
 
+@_sign_free
+def _runs(fam: NormalizedFamily) -> tuple:
+    """The columns (r = 1) and rows (r = 2) of a two-component family's
+    P_empty: per r, for each u_r exponent with terms, ascending, that
+    exponent and its terms' exponent vectors, ascending in the other."""
+    cols = sorted(fam.p_empty.terms)
+    rows = sorted(cols, key=lambda e2: e2[::-1])
+    return tuple(tuple((er, tuple(run)) for er, run in itertools.groupby(
+        keys, key=operator.itemgetter(axis)))
+        for axis, keys in enumerate((cols, rows)))
+
+
 def _hull(box1, box2):
     return tuple((min(a, c), max(b, d)) for (a, b), (c, d) in zip(box1, box2))
 
@@ -540,14 +554,19 @@ def box_points(box):
 # -- checkers ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class TheoremReport:
     """The verdict, the box, and per direction the values at the box points
-    in ``box_points`` order; violations are listed from them when read."""
+    in ``box_points`` order, given or computed by read when first read;
+    violations are listed from them when read."""
 
-    ok: bool
-    box: tuple
-    values: tuple
+    def __init__(self, ok: bool, box: tuple, values=None, *, read=None):
+        self.ok, self.box, self._read = ok, box, read
+        if values is not None:
+            self.values = values
+
+    @cached_property
+    def values(self) -> tuple:
+        return self._read()
 
     @cached_property
     def violations(self) -> tuple:
@@ -567,12 +586,11 @@ class TheoremReport:
 
 @lru_cache(maxsize=64)
 def _check_gathers(sizes: tuple) -> tuple:
-    """The gathers theorem_alex_check makes from the flat values over a
-    rect of the given per-axis lengths, all in ``box_points`` order: the
-    strides; per axis, the lower face of the interior (the rect less one
-    step on every side) and its outward neighbours; and the interior.  An
-    interior has at least five points per axis, so its gather makes a
-    tuple."""
+    """The gathers _dense_values makes from the flat values over a rect of
+    the given per-axis lengths, all in ``box_points`` order: the strides;
+    per axis, the lower face of the interior (the rect less one step on
+    every side) and its outward neighbours; and the interior.  An interior
+    has at least five points per axis, so its gather makes a tuple."""
     rect = tuple((0, 2 * size - 2) for size in sizes)
     inner = tuple((2, hi - 2) for _, hi in rect)
     strides = _strides(sizes)
@@ -589,19 +607,31 @@ def theorem_alex_check(prof: LinkProfile,
     """Evaluate the signed coefficient-sum condition over the default box.
 
     Every lattice point and every direction must give a value of 0 or 1:
-    the sum in direction r at s is H(s) - H(s + 2 e_r), for H the profile's
-    _h_values over the box grown by one step.  Values on each lower face of
-    the box are compared with their outward neighbours; disagreement raises
+    the sum in direction r at s is H(s) - H(s + 2 e_r).  A lower face of
+    the box whose values differ from their outward neighbours raises
     RegionUnstable since the box then failed to capture the stable
     behavior.  The upper faces need no comparison: the box top lies at
     least 2 * margin above the corner, where H no longer depends on that
-    coordinate.
+    coordinate.  For two components the verdict reads P_empty's runs; the
+    values, when read, and an unstable face's witness come from H.
     """
     fam = normalized_family(prof)
     box = _box(fam, frozenset(), resolve_margin(margin))
-    # The box grown by one step (both edges of an axis lie on one coset):
-    # lo - 2 holds the outward neighbours, hi + 2 the values the box's top
-    # is differenced against.
+    dense = partial(_dense_values, fam, box)
+    ok = _run_verdict(fam, box) if fam.l == 2 else None
+    if ok is not None:
+        return TheoremReport(ok, box, read=dense)
+    values = dense()
+    return TheoremReport(all(min(v) >= 0 and max(v) <= 1 for v in values),
+                         box, values)
+
+
+def _dense_values(fam: NormalizedFamily, box) -> tuple:
+    """Per direction the theorem's sums over box, from _h_values over box
+    grown by one step, once each lower face matches its outward
+    neighbours; else the first point and direction that differ raise."""
+    # Both edges of an axis lie on one coset: lo - 2 holds the outward
+    # neighbours, hi + 2 the values the box's top is differenced against.
     rect = tuple((lo - 2, hi + 2) for lo, hi in box)
     h = _h_values(fam, frozenset(), rect)
     strides, faces, interior = _check_gathers(tuple(map(_length, rect)))
@@ -616,9 +646,26 @@ def theorem_alex_check(prof: LinkProfile,
                     raise RegionUnstable(
                         f"value changes stepping outward at {p} "
                         f"(direction {r}); enlarge the margin")
-    values = tuple(map(interior, rows))
-    return TheoremReport(all(min(v) >= 0 and max(v) <= 1 for v in values),
-                         tuple(box), values)
+    return tuple(map(interior, rows))
+
+
+def _run_verdict(fam: NormalizedFamily, box) -> bool | None:
+    """The two-component verdict over box, or None for an unstable lower
+    face.  The sum in direction r at s is the tail coefficient at s_r less
+    the sum of P_empty's run at s_r from the top down to s.  No term lies
+    outside box, so stepping below it changes only tail coefficients."""
+    p = fam.p_empty.terms
+    tails = [fam.entries[frozenset({3 - r})].coeffs(range(lo - 2, hi + 1, 2))
+             for r, (lo, hi) in enumerate(box, start=1)]
+    if any(t[0] != t[1] for t in tails):
+        return None
+    return all(
+        min(t) >= 0 and max(t) <= 1 and all(
+            0 <= v <= 1 for er, run in runs
+            for v in itertools.accumulate(
+                (p[e2] for e2 in reversed(run)), operator.sub,
+                initial=t[(er - lo) // 2 + 1]))
+        for t, (lo, _), runs in zip(tails, box, _runs(fam)))
 
 
 @dataclass(frozen=True)
@@ -652,11 +699,11 @@ def cor_alex2_check(prof: LinkProfile) -> CorReport:
     if prof.l != 2:
         raise ValueError("this corollary checker needs exactly two components")
     fam = normalized_family(prof)
-    terms = sorted(fam.p_empty.terms.items())
-    failures = [("coefficient", 0, list(e2), f"coefficient {c} at {e2}")
-                for e2, c in terms if abs(c) > 1]
+    p, (cols, rows) = fam.p_empty.terms, _runs(fam)
+    failures = [("coefficient", 0, list(e2), f"coefficient {p[e2]} at {e2}")
+                for _, run in cols for e2 in run if abs(p[e2]) > 1]
     flipped_fails = False           # -P_empty fails the leading clause
-    for r in (1, 2):
+    for r, runs in ((1, cols), (2, rows)):
         tail = fam.entries[frozenset({3 - r})]
         if not tail.numer.is_zero():
             span = range(tail.numer.min_exp2(1) - 2,
@@ -664,11 +711,8 @@ def cor_alex2_check(prof: LinkProfile) -> CorReport:
             failures += [("tail", r, er, f"tail coefficient {t}")
                          for er, t in zip(span, tail.coeffs(span))
                          if t not in (0, 1)]
-        if r == 2:
-            terms.sort(key=lambda term: term[0][::-1])
-        runs = [(er, [c for _, c in run]) for er, run in
-                itertools.groupby(terms, key=lambda term: term[0][r - 1])]
-        for (er, nz), t in zip(runs, tail.coeffs([er for er, _ in runs])):
+        for (er, run), t in zip(runs, tail.coeffs([er for er, _ in runs])):
+            nz = [p[e2] for e2 in run]
             if any(a * b > 0 for a, b in zip(nz, nz[1:])):
                 failures.append(("alternation", r, er,
                                  "equal consecutive signs"))

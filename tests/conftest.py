@@ -108,6 +108,27 @@ def random_profile(rng, l):
     return LinkProfile(l, lk, delta)
 
 
+def knotted_profile(rng):
+    """A random_profile of two components whose components are knots with
+    random nonzero Alexander polynomials, so the family's tails are not
+    pure: mostly with unit coefficients, whose tails often still lie in
+    {0, 1}, and half the time with a unit-coefficient Delta_12 too."""
+    prof = random_profile(rng, 2)
+    delta = dict(prof.delta)
+    for m in (frozenset({1}), frozenset({2})):
+        knot = rand_nonzero(rng, nvars=1, max_terms=3, span=2, parity=(0,))
+        delta[m] = unit_coeffs(knot) if rng.random() < 0.7 else knot
+    if rng.random() < 0.5:
+        delta[frozenset({1, 2})] = unit_coeffs(delta[frozenset({1, 2})])
+    return LinkProfile(2, prof.lk, delta)
+
+
+def unit_coeffs(p: MultiLaurent) -> MultiLaurent:
+    """p with every coefficient replaced by its sign."""
+    return MultiLaurent(p.nvars, {e2: 1 if c > 0 else -1
+                                  for e2, c in p.terms.items()})
+
+
 def unstable_profile():
     """A two-component profile, lk = 2 with unknotted components and
     Delta_12 = -u1^(3/2) u2^(7/2), every flag pinned, whose default box at

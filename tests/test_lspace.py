@@ -8,18 +8,20 @@ import pytest
 
 import lfk.floer
 import lfk.lspace
-from conftest import (cor_check_per_column, h_at, r_sum, rand_nonzero,
-                      random_profile, screen_digests, split_union_with_unknot,
-                      sub_profile, tail_coeff, theorem_check_per_point,
-                      theorem_field, theorem_sum, unstable_profile)
+from conftest import (cor_check_per_column, h_at, knotted_profile, r_sum,
+                      rand_nonzero, random_profile, screen_digests,
+                      split_union_with_unknot, sub_profile, tail_coeff,
+                      theorem_check_per_point, theorem_field, theorem_sum,
+                      unit_coeffs, unstable_profile)
 from lfk.bridge import TwoBridge
 from lfk.cli import family_links
 from lfk.errors import CosetViolation, LfkError, RegionUnstable
 from lfk.floer import build_tgraph
 from lfk.laurent import MultiLaurent, TailPoly
-from lfk.lspace import (LinkProfile, box_points, cor_alex2_check, default_box,
-                        m_vector, normalized_family, resolve_margin,
-                        subsets_of, theorem_alex_check, two_bridge_profile,
+from lfk.lspace import (LinkProfile, TheoremReport, box_points,
+                        cor_alex2_check, default_box, m_vector,
+                        normalized_family, resolve_margin, subsets_of,
+                        theorem_alex_check, two_bridge_profile,
                         unknot_profile, unlink_profile)
 
 B20_P_EMPTY = MultiLaurent(2, {
@@ -306,6 +308,76 @@ def test_theorem_check_matches_per_point_route():
             _outcome(theorem_check_per_point, prof, **kw), (prof.to_json(), kw)
 
 
+def _dense_outcome(prof, margin):
+    """theorem_alex_check by the dense route alone: the refusal's type and
+    text, else the report with the values _dense_values gives."""
+    box = default_box(prof, margin)
+    try:
+        values = lfk.lspace._dense_values(normalized_family(prof), box)
+    except LfkError as err:
+        return type(err), str(err)
+    return TheoremReport(all(v in (0, 1) for vs in values for v in vs), box,
+                         values)
+
+
+def test_two_component_runs_match_dense_route():
+    # Random knotted components make tails that are not pure; the
+    # two-bridge candidates pass under one sign more often than not.
+    rng = random.Random(28)
+    cases = [(cand, margin) for prof in [knotted_profile(rng)
+                                         for _ in range(40)]
+             for cand in prof.assignments() for margin in (2, 3, 5)]
+    for alpha, beta in list(_two_bridge_pairs(60))[::4]:
+        prof = two_bridge_profile(TwoBridge(alpha, beta))
+        cases += [(prof.with_signs({prof.full(): s}), 2) for s in (1, -1)]
+    cases += [(unstable_profile(), margin) for margin in (2, 3, 4, 5)]
+    seen = set()
+    for prof, margin in cases:
+        want = _dense_outcome(prof, margin)
+        try:
+            got = theorem_alex_check(prof, margin)
+        except LfkError as err:
+            got = type(err), str(err)
+        if isinstance(want, tuple):
+            assert got == want, (prof.to_json(), margin)
+            seen.add("refused")
+            continue
+        assert "values" not in vars(got)
+        assert (got.ok, got.box) == (want.ok, want.box), (prof.to_json(),
+                                                          margin)
+        assert got.values == want.values, (prof.to_json(), margin)
+        seen.add(got.ok)
+    assert seen == {True, False, "refused"}
+
+
+def test_two_component_report_reads_values_once(monkeypatch):
+    calls, h_values = [], lfk.lspace._h_values
+
+    def counting(*args):
+        calls.append(args)
+        return h_values(*args)
+
+    monkeypatch.setattr(lfk.lspace, "_h_values", counting)
+    rng = random.Random(29)
+    profiles = [b20_profile(), two_bridge_profile(TwoBridge(12, 5))]
+    profiles += [next(knotted_profile(rng).assignments()) for _ in range(6)]
+    for prof in profiles:
+        for read in ("violations", "to_json"):
+            rep = theorem_alex_check(prof, 3)
+            assert rep.ok in (True, False) and not calls
+            if read == "violations":
+                rep.violations
+            else:
+                rep.to_json()
+            rep.to_json(), rep.violations, rep.values
+            assert len(calls) == 1, prof.to_json()
+            calls.clear()
+    with pytest.raises(RegionUnstable) as err:
+        theorem_alex_check(unstable_profile(), 2)
+    assert str(err.value) == ("value changes stepping outward at (0, 4) "
+                              "(direction 2); enlarge the margin")
+
+
 def test_cor_check_matches_per_column_route():
     profiles = [unlink_profile(2), two_bridge_profile(TwoBridge(12, 5)),
                 b20_profile().with_signs({frozenset({1}): -1})]
@@ -322,20 +394,15 @@ def test_cor_check_matches_per_column_route():
             prof.to_json()
 
 
-def _unit(p):
-    return MultiLaurent(p.nvars, {e2: 1 if c > 0 else -1
-                                  for e2, c in p.terms.items()})
-
-
 def _unit_profile(rng):
     """A random two-component profile with every coefficient 1 or -1,
     whose components are knotted half the time."""
     prof = random_profile(rng, 2)
-    delta = {m: _unit(p) for m, p in prof.delta.items()}
+    delta = {m: unit_coeffs(p) for m, p in prof.delta.items()}
     for m in (frozenset({1}), frozenset({2})):
         if rng.random() < 0.5:
-            delta[m] = _unit(rand_nonzero(rng, nvars=1, max_terms=3, span=2,
-                                          parity=(0,)))
+            delta[m] = unit_coeffs(rand_nonzero(rng, nvars=1, max_terms=3,
+                                                span=2, parity=(0,)))
     return LinkProfile(2, prof.lk, delta)
 
 
@@ -390,13 +457,17 @@ def test_obstruct_chain_builds_one_family_per_input(monkeypatch):
         return build(prof)
 
     monkeypatch.setattr(lfk.lspace, "_build_family", counting)
+    # They share one sort of the normalized polynomial's runs, too.
+    runs, read = [], lfk.lspace._runs.__wrapped__
+    monkeypatch.setattr(lfk.lspace._runs, "__wrapped__",
+                        lambda fam: runs.append(fam) or read(fam))
     inputs = [(20, -3), (12, 5), (8, -3), (30, 7), (44, -13)]
     for alpha, beta in inputs:
         prof = two_bridge_profile(TwoBridge(alpha, beta))
         cor_alex2_check(prof)
         for s in (1, -1):
             theorem_alex_check(prof.with_signs({prof.full(): s}))
-    assert len(builds) == len(inputs)
+    assert len(builds) == len(runs) == len(inputs)
 
 
 def test_with_signs_refuses_bad_sign_and_unknown_key():
