@@ -53,19 +53,6 @@ class SweepRecord:
         return (self.cor_alex2 == "pass" and self.tgraph == "ok"
                 and self.sigma_cross == "pass")
 
-    def to_json(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta,
-                "p": list(self.p), "q": list(self.q),
-                "cor_alex2": self.cor_alex2, "tgraph": self.tgraph,
-                "sigma_cross": self.sigma_cross,
-                "family": self.family_member, "class_id": self.class_id}
-
-    @staticmethod
-    def from_json(d) -> SweepRecord:
-        return SweepRecord(d["alpha"], d["beta"], tuple(d["p"]), tuple(d["q"]),
-                           d["cor_alex2"], d["tgraph"], d["sigma_cross"],
-                           d["family"], d["class_id"])
-
     def to_csv_row(self) -> list[str]:
         return [str(self.alpha), str(self.beta),
                 ",".join(map(str, self.p)), ",".join(map(str, self.q)),
@@ -308,7 +295,7 @@ def _cmd_check(args) -> int:
             return EXIT_OK
         thm_fail = thm_fail or thm
     if thm_fail is None:
-        return _reject(f"cor_alex2: {cor_fail.first_failure()[3]}",
+        return _reject(f"cor_alex2: {cor_fail.failures[0][3]}",
                        cor_fail.to_json())
     p, r, v = thm_fail.violations[0]
     return _reject(f"signed sum {v} at {list(p)} direction {r}",

@@ -12,20 +12,21 @@ fam[T] with T containing S, of each one's coefficients at the exponents
 above a point; over a lattice rect it is one flat list in ``box_points``
 order, walked by integer strides.  The theorem's signed sums, which must
 land in {0, 1} for an L-space link, are its differences in each
-direction.  For two components the normalized polynomial's columns and
-rows, read as runs of one sort per direction, decide the theorem from
-their partial sums and the tail coefficients, the sums at every point
-being computed only when read, and the sharper alternating-sign
-conditions under both signs in one pass: only their leading clause
-depends on the sign.
+direction.  For two components one walk over the normalized polynomial's
+columns and rows, read as runs of one sort per direction, yields the
+sharper alternating-sign conditions' failures; the corollary reads all of
+them and decides both signs from them, since only the leading clause
+depends on the sign, and the theorem passes exactly when the walk, its
+tail coefficients scanned over the box, yields none.  The sums at every
+point are computed only when read.
 
 Index work that does not read the coefficients is done once.  A level's
 corner and default box, and the runs, read only the entries' exponents,
 so they are computed once per unsigned profile and memoized on its
 family, which shares the memo with every family with_signs derives.
-The strides, each entry's base offset and own axes in the H-function, and
-the theorem check's face and box gathers depend on a rect's per-axis
-lengths alone, so they are built once per shape, in bounded memos.
+The strides and each entry's base offset and own axes in the H-function
+depend on a rect's per-axis lengths alone, so they are built once per
+shape, in a bounded memo.
 """
 
 from __future__ import annotations
@@ -533,7 +534,8 @@ def _box(fam: NormalizedFamily, s, margin: int):
 def _runs(fam: NormalizedFamily) -> tuple:
     """The columns (r = 1) and rows (r = 2) of a two-component family's
     P_empty: per r, for each u_r exponent with terms, ascending, that
-    exponent and its terms' exponent vectors, ascending in the other."""
+    exponent and its terms' exponent vectors, ascending in the other.
+    _run_failures walks them for the corollary and the theorem check."""
     cols = sorted(fam.p_empty.terms)
     rows = sorted(cols, key=lambda e2: e2[::-1])
     return tuple(tuple((er, tuple(run)) for er, run in itertools.groupby(
@@ -556,7 +558,8 @@ def box_points(box):
 
 class TheoremReport:
     """The verdict, the box, and per direction the values at the box points
-    in ``box_points`` order, given or computed by read when first read;
+    in ``box_points`` order, given or computed by read when first read (a
+    two-component verdict comes from the run walk, its values from H);
     violations are listed from them when read."""
 
     def __init__(self, ok: bool, box: tuple, values=None, *, read=None):
@@ -584,24 +587,6 @@ class TheoremReport:
                                for p, r, v in self.violations]}
 
 
-@lru_cache(maxsize=64)
-def _check_gathers(sizes: tuple) -> tuple:
-    """The gathers _dense_values makes from the flat values over a rect of
-    the given per-axis lengths, all in ``box_points`` order: the strides;
-    per axis, the lower face of the interior (the rect less one step on
-    every side) and its outward neighbours; and the interior.  An interior
-    has at least five points per axis, so its gather makes a tuple."""
-    rect = tuple((0, 2 * size - 2) for size in sizes)
-    inner = tuple((2, hi - 2) for _, hi in rect)
-    strides = _strides(sizes)
-    faces = []
-    for axis, st in enumerate(strides):
-        ks = list(_flat(rect, inner[:axis] + ((2, 2),) + inner[axis + 1:]))
-        faces.append((operator.itemgetter(*ks),
-                      operator.itemgetter(*[k - st for k in ks])))
-    return strides, tuple(faces), operator.itemgetter(*_flat(rect, inner))
-
-
 def theorem_alex_check(prof: LinkProfile,
                        margin: int | None = None) -> TheoremReport:
     """Evaluate the signed coefficient-sum condition over the default box.
@@ -612,15 +597,23 @@ def theorem_alex_check(prof: LinkProfile,
     RegionUnstable since the box then failed to capture the stable
     behavior.  The upper faces need no comparison: the box top lies at
     least 2 * margin above the corner, where H no longer depends on that
-    coordinate.  For two components the verdict reads P_empty's runs; the
-    values, when read, and an unstable face's witness come from H.
+    coordinate.  For two components the sum in direction r at s is the
+    tail coefficient at s_r less the sum of P_empty's run at s_r from the
+    top down to s, so the verdict is that the corollary's walk, its tails
+    scanned over the box, finds no failure; no term lies outside the box,
+    so a lower face is unstable exactly when a tail coefficient changes
+    one step below it.  The values, when read, and an unstable face's
+    witness come from H.
     """
     fam = normalized_family(prof)
     box = _box(fam, frozenset(), resolve_margin(margin))
     dense = partial(_dense_values, fam, box)
-    ok = _run_verdict(fam, box) if fam.l == 2 else None
-    if ok is not None:
-        return TheoremReport(ok, box, read=dense)
+    # per direction, the tail coefficients one step below the box and on it
+    faces = (fam.entries[frozenset({3 - r})].coeffs((lo - 2, lo))
+             for r, (lo, _) in enumerate(box, start=1))
+    if fam.l == 2 and all(below == on for below, on in faces):
+        walk = _run_failures(fam, [range(lo, hi + 1, 2) for lo, hi in box])
+        return TheoremReport(next(walk, None) is None, box, read=dense)
     values = dense()
     return TheoremReport(all(min(v) >= 0 and max(v) <= 1 for v in values),
                          box, values)
@@ -634,38 +627,45 @@ def _dense_values(fam: NormalizedFamily, box) -> tuple:
     # neighbours, hi + 2 the values the box's top is differenced against.
     rect = tuple((lo - 2, hi + 2) for lo, hi in box)
     h = _h_values(fam, frozenset(), rect)
-    strides, faces, interior = _check_gathers(tuple(map(_length, rect)))
+    strides = _strides(map(_length, rect))
     rows = [list(map(operator.sub, h, h[st:])) for st in strides]
-    for axis, (inner, outer) in enumerate(faces):
-        if all(inner(by_r) == outer(by_r) for by_r in rows):
-            continue            # else name the first point and direction
+    for axis, st in enumerate(strides):
         face = box[:axis] + ((box[axis][0],) * 2,) + box[axis + 1:]
         for p, k in zip(box_points(face), _flat(rect, face)):
             for r, by_r in enumerate(rows, start=1):
-                if by_r[k] != by_r[k - strides[axis]]:
+                if by_r[k] != by_r[k - st]:
                     raise RegionUnstable(
                         f"value changes stepping outward at {p} "
                         f"(direction {r}); enlarge the margin")
-    return tuple(map(interior, rows))
+    return tuple(tuple(_window(by_r, rect, box)) for by_r in rows)
 
 
-def _run_verdict(fam: NormalizedFamily, box) -> bool | None:
-    """The two-component verdict over box, or None for an unstable lower
-    face.  The sum in direction r at s is the tail coefficient at s_r less
-    the sum of P_empty's run at s_r from the top down to s.  No term lies
-    outside box, so stepping below it changes only tail coefficients."""
-    p = fam.p_empty.terms
-    tails = [fam.entries[frozenset({3 - r})].coeffs(range(lo - 2, hi + 1, 2))
-             for r, (lo, hi) in enumerate(box, start=1)]
-    if any(t[0] != t[1] for t in tails):
-        return None
-    return all(
-        min(t) >= 0 and max(t) <= 1 and all(
-            0 <= v <= 1 for er, run in runs
-            for v in itertools.accumulate(
-                (p[e2] for e2 in reversed(run)), operator.sub,
-                initial=t[(er - lo) // 2 + 1]))
-        for t, (lo, _), runs in zip(tails, box, _runs(fam)))
+def _run_failures(fam: NormalizedFamily, spans):
+    """The corollary's failures on a two-component family, lazily and in
+    order: a coefficient of P_empty outside {-1, 0, 1}; then per direction
+    r, a tail coefficient outside {0, 1} over spans[r - 1], and per run
+    (_runs) of P_empty along u_r, equal consecutive signs, and a top
+    coefficient other than +1 under a tail coefficient 1 or -1 under a 0.
+    Each failure is (clause, r, s2_of_u_r, detail)."""
+    p, (cols, rows) = fam.p_empty.terms, _runs(fam)
+    for _, run in cols:
+        for e2 in run:
+            if abs(p[e2]) > 1:
+                yield ("coefficient", 0, list(e2),
+                       f"coefficient {p[e2]} at {e2}")
+    for r, runs, span in zip((1, 2), (cols, rows), spans):
+        tail = fam.entries[frozenset({3 - r})]
+        for er, t in zip(span, tail.coeffs(span)):
+            if t not in (0, 1):
+                yield ("tail", r, er, f"tail coefficient {t}")
+        for (er, run), t in zip(runs, tail.coeffs([er for er, _ in runs])):
+            nz = [p[e2] for e2 in run]
+            if any(a * b > 0 for a, b in zip(nz, nz[1:])):
+                yield ("alternation", r, er, "equal consecutive signs")
+            want = 1 if t == 1 else -1
+            if t in (0, 1) and nz[-1] != want:   # else the tail scan fails
+                yield ("leading", r, er,
+                       f"top coefficient {nz[-1]}, expected {want}")
 
 
 @dataclass(frozen=True)
@@ -673,9 +673,6 @@ class CorReport:
     ok: bool
     failures: tuple        # (clause, r, s2_of_u_r, detail)
     sign: int | None       # the unique passing global sign of Delta_L, if any
-
-    def first_failure(self):
-        return self.failures[0] if self.failures else None
 
     def to_json(self):
         return {"ok": self.ok, "sign": self.sign,
@@ -689,43 +686,26 @@ def cor_alex2_check(prof: LinkProfile) -> CorReport:
     Checks that (a) all coefficients are -1, 0 or 1; (b) the nonzero
     coefficients along each row and column alternate in sign; (c) the
     highest nonzero coefficient of each restriction matches the tail
-    coefficient rule (+1 under a 1, -1 under a 0).  Also reports which
-    global sign of the full Alexander polynomial passes, when exactly one
-    does.  Both signs are decided in one pass: the sign enters only through
-    P_empty, and of the clauses on its columns (r = 1) and rows (r = 2),
-    runs of one sort of its terms by (u_r, other) exponent, only the
-    leading one depends on it.
+    coefficient rule (+1 under a 1, -1 under a 0), with every tail
+    coefficient in {0, 1} from one step below its numerator to one step
+    above.  The failures are those of _run_failures, the walk the theorem
+    check reads too.  Also reports which global sign of the full
+    Alexander polynomial passes, when exactly one does: the sign enters
+    only through P_empty and, of the clauses, only the leading one depends
+    on it, so -P_empty passes exactly when every failure is a leading one,
+    one per run.
     """
     if prof.l != 2:
         raise ValueError("this corollary checker needs exactly two components")
     fam = normalized_family(prof)
-    p, (cols, rows) = fam.p_empty.terms, _runs(fam)
-    failures = [("coefficient", 0, list(e2), f"coefficient {p[e2]} at {e2}")
-                for _, run in cols for e2 in run if abs(p[e2]) > 1]
-    flipped_fails = False           # -P_empty fails the leading clause
-    for r, runs in ((1, cols), (2, rows)):
-        tail = fam.entries[frozenset({3 - r})]
-        if not tail.numer.is_zero():
-            span = range(tail.numer.min_exp2(1) - 2,
-                         tail.numer.max_exp2(1) + 3, 2)
-            failures += [("tail", r, er, f"tail coefficient {t}")
-                         for er, t in zip(span, tail.coeffs(span))
-                         if t not in (0, 1)]
-        for (er, run), t in zip(runs, tail.coeffs([er for er, _ in runs])):
-            nz = [p[e2] for e2 in run]
-            if any(a * b > 0 for a, b in zip(nz, nz[1:])):
-                failures.append(("alternation", r, er,
-                                 "equal consecutive signs"))
-            if t not in (0, 1):
-                continue  # reported by the tail-range scan above
-            want = 1 if t == 1 else -1
-            if nz[-1] != want:
-                failures.append(("leading", r, er,
-                                 f"top coefficient {nz[-1]}, expected {want}"))
-            flipped_fails = flipped_fails or -nz[-1] != want
-        # tail exponents where the restriction is zero: nothing to check;
-        # the theorem-level sums cover those points.
-    flipped_fails = flipped_fails or any(f[0] != "leading" for f in failures)
-    passing = [s for s, bad in ((1, failures), (-1, flipped_fails)) if not bad]
+    spans = []
+    for r in (1, 2):
+        numer = fam.entries[frozenset({3 - r})].numer
+        spans.append(() if numer.is_zero() else
+                     range(numer.min_exp2(1) - 2, numer.max_exp2(1) + 3, 2))
+    failures = tuple(_run_failures(fam, spans))
+    flipped = (len(failures) == sum(map(len, _runs(fam)))
+               and all(f[0] == "leading" for f in failures))
+    passing = [s for s, ok in ((1, not failures), (-1, flipped)) if ok]
     sign = passing[0] if len(passing) == 1 else None
-    return CorReport(not failures, tuple(failures), sign)
+    return CorReport(not failures, failures, sign)

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import lfk.floer
 from lfk.bridge import EvenExpansion, F_poly, TwoBridge
+from lfk.cli import SweepRecord
 from lfk.cubes import (CubeLabeling, _corner_from_grading_key, edges,
                        vertex_gradings, vertices)
 from lfk.errors import (HypothesisNotMet, InvalidLabeling, LfkError,
@@ -539,6 +540,23 @@ def _cor_failures_per_column(fam, p0):
                 failures.append(("leading", r, er,
                                  f"top coefficient {nz[-1]}, expected {want}"))
     return failures
+
+
+# -- sweep records as JSON: each field by name, round-tripped ----------------
+
+
+def sweep_record_to_json(rec: SweepRecord) -> dict:
+    return {"alpha": rec.alpha, "beta": rec.beta,
+            "p": list(rec.p), "q": list(rec.q),
+            "cor_alex2": rec.cor_alex2, "tgraph": rec.tgraph,
+            "sigma_cross": rec.sigma_cross,
+            "family": rec.family_member, "class_id": rec.class_id}
+
+
+def sweep_record_from_json(d) -> SweepRecord:
+    return SweepRecord(d["alpha"], d["beta"], tuple(d["p"]), tuple(d["q"]),
+                       d["cor_alex2"], d["tgraph"], d["sigma_cross"],
+                       d["family"], d["class_id"])
 
 
 def _digest(data) -> str:

@@ -13,11 +13,12 @@ import lfk
 import lfk.cli
 import lfk.floer
 import lfk.lspace
-from conftest import knot_one_negated, unstable_profile
+from conftest import (knot_one_negated, sweep_record_from_json,
+                      sweep_record_to_json, unstable_profile)
 from lfk.bridge import TwoBridge
-from lfk.cli import (SweepRecord, _pipeline, all_candidates, class_id_of,
-                     classify, classification_summary, equivalence_orbit,
-                     family_links, main, records_from_csv, records_to_csv)
+from lfk.cli import (_pipeline, all_candidates, class_id_of, classify,
+                     classification_summary, equivalence_orbit, family_links,
+                     main, records_from_csv, records_to_csv)
 from lfk.errors import RegionUnstable
 from lfk.lspace import (cor_alex2_check, normalized_family, two_bridge_profile,
                         unknot_profile, unlink_profile)
@@ -608,8 +609,9 @@ def test_sweep_records_roundtrip():
     records = classify(16)
     csv_text = records_to_csv(records)
     assert records_from_csv(csv_text) == records
-    as_json = [r.to_json() for r in records]
-    back = [SweepRecord.from_json(json.loads(json.dumps(d))) for d in as_json]
+    as_json = [sweep_record_to_json(r) for r in records]
+    back = [sweep_record_from_json(json.loads(json.dumps(d)))
+            for d in as_json]
     assert back == records
 
 

@@ -8,11 +8,11 @@ import pytest
 
 import lfk.floer
 import lfk.lspace
-from conftest import (cor_check_per_column, h_at, knotted_profile, r_sum,
-                      rand_nonzero, random_profile, screen_digests,
-                      split_union_with_unknot, sub_profile, tail_coeff,
-                      theorem_check_per_point, theorem_field, theorem_sum,
-                      unit_coeffs, unstable_profile)
+from conftest import (cor_check_per_column, h_at, knot_one_negated,
+                      knotted_profile, r_sum, rand_nonzero, random_profile,
+                      screen_digests, split_union_with_unknot, sub_profile,
+                      tail_coeff, theorem_check_per_point, theorem_field,
+                      theorem_sum, unit_coeffs, unstable_profile)
 from lfk.bridge import TwoBridge
 from lfk.cli import family_links
 from lfk.errors import CosetViolation, LfkError, RegionUnstable
@@ -331,6 +331,17 @@ def test_two_component_runs_match_dense_route():
         prof = two_bridge_profile(TwoBridge(alpha, beta))
         cases += [(prof.with_signs({prof.full(): s}), 2) for s in (1, -1)]
     cases += [(unstable_profile(), margin) for margin in (2, 3, 4, 5)]
+    # Edge inputs: a vanishing P_empty, a knot of tail -1, a vanishing
+    # Delta_12 under knotted tails, and a wide margin.
+    cases.append((unlink_profile(2), 2))
+    b20 = b20_profile()
+    cases += [(cand, 2) for cand in knot_one_negated(b20).assignments()]
+    for _ in range(6):
+        prof = knotted_profile(rng)
+        delta = {**prof.delta, prof.full(): MultiLaurent.zero(2)}
+        cases += [(cand, 2) for cand
+                  in LinkProfile(2, prof.lk, delta).assignments()]
+    cases += [(prof, 12) for prof in (b20, unstable_profile(), cases[0][0])]
     seen = set()
     for prof, margin in cases:
         want = _dense_outcome(prof, margin)
@@ -510,7 +521,7 @@ def test_cor_check_b20():
 def test_cor_check_b12_coefficient_clause():
     rep = cor_alex2_check(two_bridge_profile(TwoBridge(12, 5)))
     assert not rep.ok and rep.sign is None
-    assert rep.first_failure()[0] == "coefficient"
+    assert rep.failures[0][0] == "coefficient"
 
 
 def test_cor_check_vacuous_on_unlink():
@@ -531,6 +542,28 @@ def test_theorem_iff_cor_on_two_bridge_links():
         for s in (1, -1):
             ps = prof.with_signs({prof.full(): s})
             assert cor_alex2_check(ps).ok == theorem_alex_check(ps).ok
+    # Knotted components: the corollary scans each tail from one step
+    # below its numerator, the theorem over the box only, so a tail that
+    # fails below the box fails the corollary alone.
+    rng = random.Random(31)
+    profiles = [knotted_profile(rng) for _ in range(300)]
+    profiles += [random_profile(rng, 2) for _ in range(300)]
+    seen = set()
+    for cand in (c for prof in profiles for c in prof.assignments()):
+        cor = cor_alex2_check(cand)
+        for margin in (2, 3):
+            try:
+                thm = theorem_alex_check(cand, margin)
+            except RegionUnstable:
+                continue
+            assert thm.ok or not cor.ok, (cand.to_json(), margin)
+            if thm.ok and not cor.ok:
+                assert all(clause == "tail" and not
+                           thm.box[r - 1][0] - 2 <= er <= thm.box[r - 1][1]
+                           for clause, r, er, _ in cor.failures), \
+                    (cand.to_json(), margin)
+            seen.add((thm.ok, cor.ok))
+    assert seen == {(True, True), (True, False), (False, False)}
 
 
 def test_at_most_one_sign_passes():
