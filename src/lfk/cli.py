@@ -13,8 +13,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
+import threading
 from dataclasses import dataclass
 
 from .bridge import TwoBridge, equivalence_orbit, even_expansion, signature
@@ -101,51 +103,94 @@ def _family_ids(max_alpha: int) -> set[str]:
     return {class_id_of(m.alpha, m.beta) for m in family_links(max_alpha)}
 
 
-def _pipeline(rep: TwoBridge, cid: str, fam: bool,
-              margin: int) -> SweepRecord:
+def _pipeline(rep: TwoBridge, cid: str, fam: bool, margin: int) -> SweepRecord:
     exp = even_expansion(rep)
-    prof = two_bridge_profile(exp)
-    cor = cor_alex2_check(prof)
-    if cor.sign is None:
-        corv = "fail:" + (cor.failures[0][3] if cor.failures else "no sign")
-        return SweepRecord(rep.alpha, rep.beta, exp.p, exp.q, corv,
-                           "skipped", "skipped", fam, cid)
-    # Pin the sign the record states; the build skips the one that fails.
-    prof = prof.with_signs({prof.full(): cor.sign})
+
+    def record(cor, tg="skipped", scv="skipped"):
+        return SweepRecord(rep.alpha, rep.beta, exp.p, exp.q, cor, tg, scv,
+                           fam, cid)
     try:
-        tg = build_tgraph(prof, margin=margin)
-    except LfkError as err:         # the corollary passed; the build refused
-        return SweepRecord(rep.alpha, rep.beta, exp.p, exp.q, "pass",
-                           type(err).__name__, "skipped", fam, cid)
-    cross = alternating_cross_check(prof, signature(rep), hfl_minus(prof, tg))
-    scv = "pass" if cross.ok else "fail:" + cross.mismatches[0][1]
-    return SweepRecord(rep.alpha, rep.beta, exp.p, exp.q, "pass", "ok",
-                       scv, fam, cid)
+        prof = two_bridge_profile(exp)
+        cor = cor_alex2_check(prof)
+        if cor.sign is None:
+            return record("fail:" + (cor.failures[0][3] if cor.failures
+                                     else "no sign"))
+        # Pin the sign the record states; the build skips the one that fails.
+        prof = prof.with_signs({prof.full(): cor.sign})
+        try:
+            tg = build_tgraph(prof, margin=margin)
+        except LfkError as err:     # the corollary passed; the build refused
+            return record("pass", type(err).__name__)
+        cross = alternating_cross_check(prof, signature(rep),
+                                        hfl_minus(prof, tg))
+        return record("pass", "ok", "pass" if cross.ok
+                      else "fail:" + cross.mismatches[0][1])
+    except LfkError as err:         # a broken record must not abort the sweep
+        return record(f"fail:{type(err).__name__}")
+
+
+def _usable_cpus() -> int:
+    """The CPUs in this process's affinity set, where it has one."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
+
+
+def _run_share(jobs, margin: int):
+    """The records of jobs up to the first error raised, and that error."""
+    records = []
+    try:
+        for job in jobs:
+            records.append(_pipeline(*job, margin))
+    except Exception as err:        # classify raises it in class order
+        return records, err
+    return records, None
 
 
 def classify(max_alpha: int, margin: int | None = None) -> list[SweepRecord]:
-    """Run the full pipeline on one representative per equivalence class."""
+    """Run the full pipeline on one representative per equivalence class,
+    share k = jobs[k::n] of n in a forked child when k > 0. n is the CPU count
+    of the affinity set, or 1 without os.fork or while another thread runs."""
     if max_alpha < 2:
         raise ValueError("max_alpha must be at least 2")
+    import pickle
     margin = resolve_margin(margin)
     family_ids = _family_ids(max_alpha)
-    records = []
     # Candidates come in (alpha, beta) order; each class keeps the one whose
     # residue is its orbit minimum.
-    for rep in all_candidates(max_alpha):
-        cid = class_id_of(rep.alpha, rep.beta)
-        if cid != f"{rep.alpha}:{rep.beta % (2 * rep.alpha)}":
-            continue
-        fam = cid in family_ids
-        try:
-            records.append(_pipeline(rep, cid, fam, margin))
-        except LfkError as err:
-            # a broken record must not abort the sweep
-            exp = even_expansion(rep)
-            records.append(SweepRecord(
-                rep.alpha, rep.beta, exp.p, exp.q,
-                f"fail:{type(err).__name__}", "skipped", "skipped", fam, cid))
-    return records
+    jobs = [(rep, cid, cid in family_ids) for rep in all_candidates(max_alpha)
+            if (cid := class_id_of(rep.alpha, rep.beta))
+            == f"{rep.alpha}:{rep.beta % (2 * rep.alpha)}"]
+    forks = hasattr(os, "fork") and threading.active_count() == 1
+    n = min(len(jobs), _usable_cpus()) if forks else 1
+    pids, reads = [], []
+    try:
+        for k in range(1, n):
+            r, w = os.pipe()
+            reads.append(open(r, "rb"))
+            with open(w, "wb") as out:      # the parent's end closes here
+                if (pid := os.fork()) == 0:
+                    try:    # os._exit flushes and cleans up nothing inherited
+                        reads[-1].close()   # only the parent reads
+                        pickle.dump(_run_share(jobs[k::n], margin), out)
+                        out.close()
+                    finally:
+                        os._exit(0)
+            pids.append(pid)
+        reports = [_run_share(jobs[0::n], margin)]
+        blobs = [fh.read() for fh in reads]
+    finally:
+        for fh in reads:    # first, so a child blocked on a full pipe exits
+            fh.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for k, (blob, status) in enumerate(zip(blobs, statuses), 1):
+        try:    # a dead child's report, or one cut short, fails to load
+            reports.append(pickle.loads(blob if status == 0 else b""))
+        except Exception as err:
+            raise RuntimeError(f"classify: share {k} of {n} died") from err
+    if failures := [(k + len(done) * n, err) for k, (done, err)
+                    in enumerate(reports) if err is not None]:
+        raise min(failures)[1]      # the earliest class's, as a serial loop
+    return [reports[i % n][0][i // n] for i in range(len(jobs))]
 
 
 def classification_summary(records) -> dict:

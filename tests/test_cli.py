@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -5,6 +6,8 @@ import subprocess
 import sys
 import re
 import shlex
+import signal
+import threading
 from pathlib import Path
 
 import pytest
@@ -616,14 +619,172 @@ def test_sweep_records_roundtrip():
 
 
 def test_classify_cli(tmp_path):
+    # At alpha <= 40 every share has classes; a forked share that flushed
+    # what it inherited or ran on into main would print or write twice.
     out_path = tmp_path / "sweep.csv"
-    rc, out, _ = run_cli("classify", "--max-alpha", "12",
-                         "--out", str(out_path))
-    assert rc == 0
-    summary = json.loads(out)
-    assert summary["match"]
-    text = out_path.read_text()
-    assert records_from_csv(text) == classify(12)
+    rc, out, err = run_cli("classify", "--max-alpha", "40",
+                           "--out", str(out_path))
+    assert (rc, err) == (0, "")
+    assert len(out.splitlines()) == 1
+    assert json.loads(out)["match"]
+    assert out_path.read_bytes() == records_to_csv(classify(40)).encode()
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count classify splits its classes over; on leaving,
+    check that no forked share outlived the test."""
+    yield lambda n: monkeypatch.setattr(lfk.cli, "_usable_cpus", lambda: n)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("max_alpha,margin", [(2, 2), (4, 2), (28, 2),
+                                              (2, 3), (4, 3), (28, 3)])
+def test_classify_is_the_same_on_any_cpu_count(cpus, max_alpha, margin):
+    cpus(1)
+    serial = classify(max_alpha, margin)
+    for n in (2, 3):
+        cpus(n)
+        records = classify(max_alpha, margin)
+        assert records == serial
+        assert records_to_csv(records).encode() == \
+            records_to_csv(serial).encode()
+
+
+def test_classify_records_a_pipeline_failure_on_any_cpu_count(cpus,
+                                                              monkeypatch):
+    # An LfkError past the build fails that class's record and the sweep
+    # goes on, in a forked share as in the parent.
+    plain = classify(12)
+
+    def unstable(*args, **kwargs):
+        raise RegionUnstable("boundary values moved")
+
+    monkeypatch.setattr(lfk.cli, "hfl_minus", unstable)
+    failed = [dataclasses.replace(r, cor_alex2="fail:RegionUnstable",
+                                  tgraph="skipped", sigma_cross="skipped")
+              if r.tgraph == "ok" else r for r in plain]
+    assert failed != plain
+    for n in (1, 2):
+        cpus(n)
+        assert classify(12) == failed
+
+
+def _failing_pipeline(monkeypatch, errors):
+    """Make _pipeline raise errors[class_id] at the classes named there."""
+    def pipeline(rep, cid, fam, margin):
+        if cid in errors:
+            raise errors[cid]
+        return _pipeline(rep, cid, fam, margin)
+    monkeypatch.setattr(lfk.cli, "_pipeline", pipeline)
+
+
+def _raised(max_alpha):
+    with pytest.raises(Exception) as info:
+        classify(max_alpha)
+    return type(info.value), str(info.value)
+
+
+def test_classify_raises_a_forked_shares_error(cpus, monkeypatch):
+    cids = [r.class_id for r in classify(12)]
+    # With two shares, the classes at odd positions run in the child.
+    _failing_pipeline(monkeypatch, {cids[3]: ValueError(f"bad {cids[3]}")})
+    cpus(1)
+    serial = _raised(12)
+    assert serial == (ValueError, f"bad {cids[3]}")
+    cpus(2)
+    assert _raised(12) == serial
+
+
+@pytest.mark.parametrize("first,second", [(3, 6), (4, 7)])
+def test_classify_raises_the_earliest_failing_class(cpus, monkeypatch,
+                                                    first, second):
+    # The two failing classes fall in different shares, the earlier one in
+    # the child's share and then in the parent's.
+    cids = [r.class_id for r in classify(12)]
+    _failing_pipeline(monkeypatch, {cids[k]: ValueError(f"bad {cids[k]}")
+                                    for k in (first, second)})
+    for n in (1, 2):
+        cpus(n)
+        assert _raised(12) == (ValueError, f"bad {cids[first]}")
+
+
+class _Stop(BaseException):
+    pass
+
+
+def test_classify_returns_promptly_when_the_parents_share_stops(
+        cpus, monkeypatch):
+    # The child's share of classify(200) pickles to more than a pipe holds,
+    # so it blocks on its write until the parent closes the read end.
+    parent = os.getpid()
+
+    def pipeline(rep, cid, fam, margin):
+        if os.getpid() == parent:
+            raise _Stop
+        return _pipeline(rep, cid, fam, margin)
+
+    def hung(signum, frame):
+        raise TimeoutError("classify did not return")
+
+    monkeypatch.setattr(lfk.cli, "_pipeline", pipeline)
+    cpus(2)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(_Stop):
+            classify(200)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class _TwoArgError(Exception):
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+@pytest.mark.parametrize("fail", ["exit", "unpicklable", "unloadable"])
+def test_classify_names_a_share_that_died(cpus, monkeypatch, fail):
+    # The child leaves without a report, cannot pickle its error, or sends
+    # one that fails to load.
+    parent = os.getpid()
+
+    class Local(Exception):
+        pass
+
+    def pipeline(rep, cid, fam, margin):
+        if os.getpid() != parent:
+            if fail == "exit":
+                os._exit(3)
+            raise Local() if fail == "unpicklable" else _TwoArgError(1, 2)
+        return _pipeline(rep, cid, fam, margin)
+
+    monkeypatch.setattr(lfk.cli, "_pipeline", pipeline)
+    cpus(2)
+    with pytest.raises(RuntimeError, match="share 1 of 2"):
+        classify(12)
+
+
+def test_classify_does_not_fork_while_a_thread_runs(cpus, monkeypatch):
+    cpus(1)
+    serial = classify(12)
+
+    def no_fork():
+        raise AssertionError("forked while a thread runs")
+
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        monkeypatch.setattr(os, "fork", no_fork)
+        cpus(2)
+        assert classify(12) == serial
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def test_main_returns_codes_in_process(capsys):
